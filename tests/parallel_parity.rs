@@ -4,15 +4,18 @@
 //! produce byte-identical patterns, metrics, and degradation events — on
 //! clean corpora and under fault injection alike.
 
+use pervasive_miner::cluster::GaussianKernel;
+use pervasive_miner::cohort::{embed_users, ClusterMethod, CohortParams, CohortTable, UserStay};
 use pervasive_miner::core::construct::ConstructionOptions;
 use pervasive_miner::core::extract::{extract_patterns_observed, extract_patterns_tracked};
 use pervasive_miner::core::recognize::{
-    recognize_all_observed, recognize_all_tracked, stay_points_of,
+    recognize_all_observed, recognize_all_tracked, recognize_stay_point_unit, stay_points_of,
 };
 use pervasive_miner::core::types::Poi;
 use pervasive_miner::prelude::*;
 use pervasive_miner::synth::{corrupt_trajectories, Corruption};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Construct -> recognize -> extract at an explicit thread count.
@@ -285,6 +288,96 @@ fn golden_fingerprints_pin_the_exact_output_bytes() {
             assert_eq!(
                 got, want,
                 "corruption mode {mode}, threads {threads}: got {got:#018x}, want {want:#018x}"
+            );
+        }
+    }
+}
+
+/// Batch cohort path at an explicit thread count: build the CSD, recognize
+/// every stay to its semantic unit, group stays per user (carded passengers
+/// by card id, anonymous trajectories standing alone — the `cohorts`
+/// command's identity rule), embed, and mine the cohort table.
+fn mine_cohort_table(ds: &Dataset, params: &MinerParams, threads: usize) -> CohortTable {
+    let params = MinerParams { threads, ..*params };
+    let stays = stay_points_of(&ds.trajectories);
+    let csd = CitySemanticDiagram::build(&ds.pois, &stays, &params).expect("valid params");
+    let kernel = GaussianKernel::new(params.r3sigma);
+    let mut groups: BTreeMap<String, Vec<UserStay>> = BTreeMap::new();
+    for (i, traj) in ds.trajectories.iter().enumerate() {
+        let user = match traj.passenger {
+            Some(card) => format!("card-{card}"),
+            None => format!("u{i}"),
+        };
+        let user_stays = groups.entry(user).or_default();
+        for sp in &traj.stays {
+            let (unit, _tags, primary) = recognize_stay_point_unit(&csd, &kernel, sp.pos);
+            if let Some(unit) = unit {
+                user_stays.push(UserStay {
+                    unit: unit as u64,
+                    category: primary,
+                    time: sp.time,
+                });
+            }
+        }
+    }
+    groups.retain(|_, s| !s.is_empty());
+    let groups: Vec<(String, Vec<UserStay>)> = groups.into_iter().collect();
+    let cohort_params = CohortParams {
+        threads,
+        ..CohortParams::default()
+    };
+    CohortTable::mine(embed_users(&groups, threads), &cohort_params)
+}
+
+/// Canonical byte-exact encoding of a cohort table's clustering output:
+/// every user's cohort id, then each cohort's size and the raw bit patterns
+/// of its aggregates.
+fn cohort_fingerprint(table: &CohortTable) -> String {
+    let mut out = format!("M{}|", table.method.name());
+    for u in &table.users {
+        let _ = write!(out, "{}={};", u.user, u.cohort);
+    }
+    for c in &table.cohorts {
+        let _ = write!(
+            out,
+            "\nC{}|n{}|a{:016x}|s{:016x}|",
+            c.id,
+            c.size,
+            c.mean_active_days.to_bits(),
+            c.mean_stays.to_bits()
+        );
+        for v in &c.category_mix {
+            let _ = write!(out, "{:016x},", v.to_bits());
+        }
+    }
+    out
+}
+
+#[test]
+fn golden_cohort_fingerprints_pin_the_exact_cohort_bytes() {
+    // Captured from the dense per-row k-means kernel (every row's distance
+    // to every centroid computed afresh). Faster kernels must reproduce
+    // these cohort assignments and aggregates bit for bit, at any thread
+    // count.
+    const GOLDEN_COHORTS: [(u64, u64); 3] = [
+        (2026, 0x2ee11625a2873b14),
+        (7, 0x4a8b77c47be2faf6),
+        (123, 0x8191e185ab31b7d0),
+    ];
+    for (seed, want) in GOLDEN_COHORTS {
+        let ds = Dataset::generate(&CityConfig::tiny(seed));
+        let params = MinerParams {
+            sigma: 20,
+            ..MinerParams::default()
+        };
+        for threads in [1, 4] {
+            let table = mine_cohort_table(&ds, &params, threads);
+            assert_eq!(table.method, ClusterMethod::KMeans, "seed {seed}");
+            assert!(table.users.len() >= 24, "seed {seed}: k-means population");
+            let got = fnv1a(&cohort_fingerprint(&table));
+            assert_eq!(
+                got, want,
+                "cohort seed {seed}, threads {threads}: got {got:#018x}, want {want:#018x}"
             );
         }
     }
