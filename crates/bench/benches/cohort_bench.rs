@@ -3,7 +3,9 @@
 //! Builds a CSD, then times the batch cohort path behind
 //! `pervasive-miner cohorts`: every user's recognized stays embed into a
 //! sparse semantic-unit visit/transition vector (embed rate, users/sec),
-//! the population clusters into life-pattern cohorts (cluster ms), and
+//! the population clusters into life-pattern cohorts (cluster ms, beside
+//! the k-means kernel's distinct-row count and Lloyd iterations, the
+//! properties its cost depends on), and
 //! the per-user index answers similar-user queries — timed per scope, the
 //! pruned cohort fast path against the exact full scan (p50/p99 ms). The
 //! numbers land in the `"cohorts"` section of `BENCH_pipeline.json`,
@@ -15,9 +17,11 @@
 //! - `PM_BENCH_OUT=<path>` — the JSON to write or splice into (default:
 //!   `BENCH_pipeline.json` in the current directory).
 
+use pervasive_miner::cluster::ndim::{kmeans_nd, KMeansNdParams};
 use pervasive_miner::cluster::GaussianKernel;
 use pervasive_miner::cohort::{
-    embed_users, CohortIndex, CohortParams, CohortTable, SimilarScope, UserStay,
+    embed_users, ClusterMethod, CohortIndex, CohortParams, CohortTable, SimilarScope, UserStay,
+    PROFILE_DIMS,
 };
 use pervasive_miner::core::recognize::{recognize_stay_point_unit, stay_points_of};
 use pervasive_miner::obs::json;
@@ -121,11 +125,31 @@ fn main() {
         0.0
     };
 
+    // The profile matrix the cohort step clusters (users arrive sorted by
+    // id from the BTreeMap, which is the order `CohortTable::mine` uses).
+    let profiles: Vec<f64> = embeddings
+        .iter()
+        .flat_map(|e| e.profile.iter().copied())
+        .collect();
+
     // Measured region 2: clustering + table assembly (ms).
     let started = Instant::now();
     let table = CohortTable::mine(embeddings, &cohort_params);
     let cluster_ms = started.elapsed().as_nanos() as f64 / 1e6;
     assert!(!table.cohorts.is_empty(), "the corpus must yield cohorts");
+
+    // What the k-means kernel saw, from an untimed re-run of the same call:
+    // distance work scales with distinct rows x iterations, not with users.
+    assert_eq!(
+        table.method,
+        ClusterMethod::KMeans,
+        "bench corpora use k-means"
+    );
+    let kernel = kmeans_nd(
+        &profiles,
+        PROFILE_DIMS,
+        KMeansNdParams::new(cohort_params.effective_k(n_users)).with_seed(cohort_params.seed),
+    );
 
     // Measured region 3: similar-user queries per scope (p50/p99 ms).
     let index = CohortIndex::build(&table);
@@ -139,6 +163,10 @@ fn main() {
         table.method.name(),
         embed_ms,
         cluster_ms
+    );
+    eprintln!(
+        "  k-means: {} distinct profile rows, {} Lloyd iterations",
+        kernel.distinct_rows, kernel.iterations
     );
     eprintln!(
         "  similar k=10 over {} queries: cohort scope p50 {:.3} / p99 {:.3} ms, all scope p50 {:.3} / p99 {:.3} ms",
@@ -161,6 +189,12 @@ fn main() {
         ",\n    \"cluster_ms\": {}",
         json::millis(cluster_ms)
     );
+    let _ = write!(
+        section,
+        ",\n    \"distinct_rows\": {}",
+        kernel.distinct_rows
+    );
+    let _ = write!(section, ",\n    \"iterations\": {}", kernel.iterations);
     let _ = write!(section, ",\n    \"queries\": {}", cohort_scope.len());
     for (name, samples) in [("cohort_scope", &cohort_scope), ("all_scope", &all_scope)] {
         let _ = write!(

@@ -48,6 +48,16 @@ cargo clippy --all-targets -- -D warnings
 echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
+# The repository benchmark (perfbench/, a workspace of its own) builds the
+# library crates from source by path, so none of the steps above compile
+# it: build and test it here, or a library API change could break the
+# benchmark unnoticed.
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> cargo test --offline --manifest-path perfbench/Cargo.toml"
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 # --- Bench metric plumbing ---------------------------------------------------
 # Reads one metric out of a BENCH_pipeline.json document as real JSON (the
 # old line-anchored sed broke the moment the emitter reflowed a line, and
