@@ -11,8 +11,8 @@ use pm_bench::{bench_dataset, bench_params, timing_dataset, timing_params};
 
 fn run_variant(ds: &Dataset, params: &MinerParams, options: ConstructionOptions) -> String {
     let stays = stay_points_of(&ds.trajectories);
-    let csd =
-        CitySemanticDiagram::build_with_options(&ds.pois, &stays, params, options).expect("build");
+    let csd = CitySemanticDiagram::build_observed(&ds.pois, &stays, params, options, &Obs::noop())
+        .expect("build");
     let recognized = recognize_all(&csd, ds.trajectories.clone(), params).expect("recognize");
     let patterns = extract_patterns(&recognized, params).expect("extract");
     let s = summarize(&patterns);
@@ -84,7 +84,7 @@ fn bench(c: &mut Criterion) {
     let stays = stay_points_of(&ds.trajectories);
     c.bench_function("ablation/purify_only", |b| {
         b.iter(|| {
-            CitySemanticDiagram::build_with_options(
+            CitySemanticDiagram::build_observed(
                 &ds.pois,
                 &stays,
                 &params,
@@ -92,6 +92,7 @@ fn bench(c: &mut Criterion) {
                     purify: true,
                     merge: false,
                 },
+                &Obs::noop(),
             )
         })
     });

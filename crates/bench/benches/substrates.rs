@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pervasive_miner::cluster::{
     dbscan, mean_shift, DbscanParams, MeanShiftParams, Optics, OpticsParams,
 };
-use pervasive_miner::geo::{GridIndex, KdTree, LocalPoint, RTree};
+use pervasive_miner::geo::{GridIndex, KdTree, LocalPoint};
 use pervasive_miner::seqmine::{prefixspan, PrefixSpanParams};
 
 /// Deterministic pseudo-random points: venue-like blobs over a city extent.
@@ -46,13 +46,6 @@ fn spatial_indexes(c: &mut Criterion) {
         let kd = KdTree::build(&pts);
         group.bench_with_input(BenchmarkId::new("kdtree_knn5", n), &(), |b, _| {
             b.iter(|| kd.k_nearest(pts[n / 2], 5))
-        });
-        group.bench_with_input(BenchmarkId::new("rtree_build", n), &(), |b, _| {
-            b.iter(|| RTree::build(&pts))
-        });
-        let rt = RTree::build(&pts);
-        group.bench_with_input(BenchmarkId::new("rtree_circle_100m", n), &(), |b, _| {
-            b.iter(|| rt.query_circle(pts[n / 2], 100.0))
         });
     }
     group.finish();

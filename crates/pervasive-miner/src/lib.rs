@@ -4,7 +4,7 @@
 //! Re-exports the whole public API so applications depend on one crate:
 //!
 //! - [`geo`]: spatial substrate (projection, indexes, spatial statistics).
-//! - [`cluster`]: DBSCAN, OPTICS, Mean Shift, K-Means.
+//! - [`cluster`]: DBSCAN, OPTICS, Mean Shift, N-dimensional K-Means.
 //! - [`seqmine`]: PrefixSpan sequential pattern mining.
 //! - [`core`]: the paper's contribution — CSD construction, semantic
 //!   recognition, CounterpartCluster pattern extraction, metrics.

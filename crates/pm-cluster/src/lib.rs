@@ -1,7 +1,7 @@
 //! Clustering substrate for the Pervasive Miner stack.
 //!
-//! The paper leans on four classical clustering algorithms, none of which it
-//! re-derives; all are implemented here from scratch:
+//! The paper leans on three classical clustering algorithms, none of which
+//! it re-derives; all are implemented here from scratch:
 //!
 //! - [`mod@dbscan`]: density-based clustering — the backbone of the ROI baseline
 //!   (hot-region detection, ref \[21\]) and of the SDBSCAN competitor
@@ -9,20 +9,18 @@
 //! - [`optics`]: OPTICS ordering (Ankerst et al., ref \[27\]) with automatic
 //!   threshold extraction, used by Algorithm 4 (*CounterpartCluster*) to
 //!   cluster the k-th stay points of each coarse pattern.
-//! - [`meanshift`]: Mean Shift mode seeking (Comaniciu & Meer, ref \[25\]),
-//!   the refinement step of the Splitter competitor (ref \[17\]).
-//! - [`mod@kmeans`]: K-Means (mentioned in ref \[21\]'s hybrid annotation
-//!   algorithm), with k-means++ seeding.
+//! - [`meanshift`]: grid-indexed Mean Shift mode seeking (Comaniciu & Meer,
+//!   ref \[25\]), the refinement step of the Splitter competitor
+//!   (ref \[17\]).
 //!
 //! [`kernel`] holds the Gaussian distribution coefficient of the paper's
 //! Eq. 2, shared by popularity estimation and semantic recognition.
-//! [`ndim`] generalizes K-Means and Mean Shift to N-dimensional rows for
-//! the user-embedding spaces of pm-cohort, with the same seeded
-//! determinism discipline as the 2-D variants.
+//! [`ndim`] holds the N-dimensional kernels for the user-embedding spaces
+//! of pm-cohort: seeded K-Means (k-means++ initialization) and an exact
+//! O(n²) Mean Shift for small populations.
 
 pub mod dbscan;
 pub mod kernel;
-pub mod kmeans;
 pub mod meanshift;
 pub mod ndim;
 pub(crate) mod neighborhoods;
@@ -30,7 +28,6 @@ pub mod optics;
 
 pub use dbscan::{dbscan, DbscanParams};
 pub use kernel::{gaussian_coeff, GaussianKernel};
-pub use kmeans::{kmeans, KMeansParams, KMeansResult};
 pub use meanshift::{mean_shift, MeanShiftParams, MeanShiftResult};
 pub use ndim::{
     kmeans_nd, mean_shift_nd, KMeansNdParams, KMeansNdResult, MeanShiftNdParams, MeanShiftNdResult,

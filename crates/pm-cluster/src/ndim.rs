@@ -1,14 +1,13 @@
 //! N-dimensional K-Means and Mean Shift over flat row-major data.
 //!
-//! The 2-D variants in [`mod@crate::kmeans`] and [`crate::meanshift`] operate on
-//! [`pm_geo::LocalPoint`] — the right shape for the paper's spatial
-//! substrate, and deliberately so. User-embedding spaces (pm-cohort's
-//! category-transition profiles) are higher-dimensional, so this module
-//! generalizes both algorithms to `dims`-dimensional rows stored flat
-//! (`data[i * dims .. (i + 1) * dims]` is point `i`), keeping the exact
-//! determinism discipline of the 2-D code: ChaCha8-seeded k-means++
-//! initialization, fixed iteration order, and non-finite rows masked out as
-//! noise instead of poisoning every centroid.
+//! User-embedding spaces (pm-cohort's category-transition profiles) are
+//! high-dimensional, so these kernels work on `dims`-dimensional rows stored
+//! flat (`data[i * dims .. (i + 1) * dims]` is point `i`) under one
+//! determinism discipline: ChaCha8-seeded k-means++ initialization, fixed
+//! iteration order, and non-finite rows masked out as noise instead of
+//! poisoning every centroid. The paper's 2-D Mean Shift stays in
+//! [`crate::meanshift`]: Splitter needs its grid-indexed neighbourhoods,
+//! while [`mean_shift_nd`] is an exact O(n²) scan (DESIGN.md §17.2).
 //!
 //! [`kmeans_nd`] evaluates distances once per *distinct* finite row. Rows
 //! are grouped by their exact f64 bit patterns (first-occurrence order); a
@@ -41,8 +40,8 @@ pub struct KMeansNdParams {
 }
 
 impl KMeansNdParams {
-    /// Parameter set with the same defaults as the 2-D variant
-    /// (100 iterations, 1e-4 tolerance, seed 0).
+    /// Parameter set with the defaults 100 iterations, 1e-4 tolerance,
+    /// seed 0.
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "k must be at least 1");
         Self {
@@ -262,8 +261,9 @@ pub struct MeanShiftNdParams {
 }
 
 impl MeanShiftNdParams {
-    /// Parameter set with the 2-D variant's defaults (1e-3 tolerance,
-    /// 300 iterations).
+    /// Parameter set with a fixed 1e-3 tolerance and 300 iterations. (The
+    /// 2-D [`crate::MeanShiftParams::new`] scales its tolerance with the
+    /// bandwidth instead: `bandwidth * 1e-3`.)
     pub fn new(bandwidth: f64) -> Self {
         assert!(
             bandwidth.is_finite() && bandwidth > 0.0,
@@ -395,7 +395,7 @@ fn nearest_row(p: &[f64], centroids: &[f64], dims: usize) -> usize {
     best
 }
 
-/// k-means++ seeding over the finite rows, mirroring the 2-D implementation.
+/// k-means++ seeding over the finite rows.
 ///
 /// Squared distances are kept per group; the draws, the d² total and the
 /// sampling walk still run over every finite row in order.

@@ -295,17 +295,11 @@ impl Optics {
         }
     }
 
-    /// [`Optics::run`] under observation: times the run as a
+    /// [`Optics::run_with_scratch`] under observation: times the run as a
     /// `cluster.optics` span (tagged with the worker slot when invoked from
     /// inside a parallel region) and counts runs and points clustered.
     /// Observability is strictly one-way — the ordering produced is the one
     /// [`Optics::run`] produces.
-    pub fn run_obs(points: &[LocalPoint], params: OpticsParams, obs: &pm_obs::Obs) -> Self {
-        Self::run_obs_with_scratch(points, params, obs, &mut OpticsScratch::default())
-    }
-
-    /// [`Optics::run_obs`] with caller-owned scratch, combining observation
-    /// with the allocation reuse of [`Optics::run_with_scratch`].
     pub fn run_obs_with_scratch(
         points: &[LocalPoint],
         params: OpticsParams,

@@ -1,7 +1,7 @@
 //! Property-based tests for the clustering substrate.
 
 use pm_cluster::{
-    dbscan, kmeans, mean_shift, DbscanParams, GaussianKernel, KMeansParams, MeanShiftParams,
+    dbscan, kmeans_nd, mean_shift, DbscanParams, GaussianKernel, KMeansNdParams, MeanShiftParams,
     Optics, OpticsParams,
 };
 use pm_geo::{GridIndex, LocalPoint};
@@ -42,6 +42,20 @@ fn inject_non_finite(
         }
     }
     (points, finite, finite_idx)
+}
+
+/// Flat `dims`-wide rows from small integers (the trailing partial row is
+/// dropped), scaled onto a 100 m grid.
+fn grid_rows(values: &[i32], dims: usize) -> Vec<f64> {
+    let whole = values.len() / dims * dims;
+    values[..whole].iter().map(|&v| v as f64 * 100.0).collect()
+}
+
+/// Squared Euclidean distance, accumulated in dimension order.
+fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
+    a.iter()
+        .zip(b)
+        .fold(0.0, |acc, (x, y)| acc + (x - y) * (x - y))
 }
 
 proptest! {
@@ -229,46 +243,80 @@ proptest! {
         prop_assert_eq!(finite_labels, clean.clustering.labels);
     }
 
-    /// K-Means on corrupted input keeps centroids finite and partitions the
-    /// finite points exactly as a clean run with the same seed.
+    /// K-Means on corrupted rows labels exactly the non-finite rows `None`
+    /// and partitions the finite rows as a clean run with the same seed
+    /// does, down to the centroid bits.
     #[test]
     fn kmeans_tolerates_non_finite_points(
-        points in point_vec(50),
-        picks in prop::collection::vec((0usize..1_000, 0u8..8), 0..8),
+        dims in 1usize..5,
+        values in prop::collection::vec(-4i32..5, 0..120),
+        picks in prop::collection::vec((0usize..1_000, 0usize..8, 0u8..8), 0..8),
         k in 1usize..6,
         seed in 0u64..100,
     ) {
-        let (corrupt, finite, finite_idx) = inject_non_finite(points, &picks);
-        let r = kmeans(&corrupt, KMeansParams::new(k).with_seed(seed));
-        let clean = kmeans(&finite, KMeansParams::new(k).with_seed(seed));
-        prop_assert_eq!(&r.centroids, &clean.centroids);
-        for c in &r.centroids {
-            prop_assert!(c.x.is_finite() && c.y.is_finite(), "non-finite centroid {c}");
-        }
-        let mut finite_labels = Vec::new();
-        for (i, label) in r.clustering.labels.iter().enumerate() {
-            if finite_idx.contains(&i) {
-                finite_labels.push(*label);
-            } else {
-                prop_assert!(label.is_none(), "non-finite point {i} was labelled");
+        let mut data = grid_rows(&values, dims);
+        let n = data.len() / dims;
+        if n > 0 {
+            for &(slot, d, shape) in &picks {
+                data[(slot % n) * dims + d % dims] = match shape % 3 {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    _ => f64::NEG_INFINITY,
+                };
             }
         }
-        prop_assert_eq!(finite_labels, clean.clustering.labels);
+        let finite_idx: Vec<usize> = (0..n)
+            .filter(|&i| data[i * dims..(i + 1) * dims].iter().all(|v| v.is_finite()))
+            .collect();
+        let finite: Vec<f64> = finite_idx
+            .iter()
+            .flat_map(|&i| data[i * dims..(i + 1) * dims].iter().copied())
+            .collect();
+        let params = KMeansNdParams::new(k).with_seed(seed);
+        let r = kmeans_nd(&data, dims, params);
+        let clean = kmeans_nd(&finite, dims, params);
+        prop_assert_eq!(r.n_clusters, clean.n_clusters);
+        let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&r.centroids), bits(&clean.centroids));
+        prop_assert!(r.centroids.iter().all(|c| c.is_finite()), "non-finite centroid");
+        let mut finite_labels = Vec::new();
+        for (i, label) in r.labels.iter().enumerate() {
+            if finite_idx.contains(&i) {
+                prop_assert!(label.is_some(), "finite row {i} lost its label");
+                finite_labels.push(*label);
+            } else {
+                prop_assert!(label.is_none(), "non-finite row {i} was labelled");
+            }
+        }
+        prop_assert_eq!(finite_labels, clean.labels);
     }
 
-    /// K-Means assigns every point to its nearest centroid.
+    /// K-Means labels every finite row with its nearest centroid, ties
+    /// going to the lowest centroid index. The coarse integer grid makes
+    /// duplicate rows and equidistant centroids common.
     #[test]
     fn kmeans_assignment_is_nearest(
-        points in point_vec(60),
+        dims in 1usize..5,
+        values in prop::collection::vec(-4i32..5, 0..120),
         k in 1usize..6,
         seed in 0u64..100,
     ) {
-        let r = kmeans(&points, KMeansParams::new(k).with_seed(seed));
-        for (i, label) in r.clustering.labels.iter().enumerate() {
-            let Some(l) = label else { continue };
-            let own = points[i].distance_sq(&r.centroids[*l]);
-            for c in &r.centroids {
-                prop_assert!(own <= points[i].distance_sq(c) + 1e-9);
+        let data = grid_rows(&values, dims);
+        let r = kmeans_nd(&data, dims, KMeansNdParams::new(k).with_seed(seed));
+        let centroids: Vec<&[f64]> = r.centroids.chunks_exact(dims).collect();
+        prop_assert_eq!(centroids.len(), r.n_clusters);
+        for (p, label) in data.chunks_exact(dims).zip(&r.labels) {
+            let Some(l) = *label else {
+                return Err(TestCaseError::fail("finite row left unlabelled"));
+            };
+            let own = dist_sq(p, centroids[l]);
+            for (c, centroid) in centroids.iter().enumerate() {
+                let d = dist_sq(p, centroid);
+                if c < l {
+                    prop_assert!(own < d, "tie with lower centroid {c} not taken");
+                } else {
+                    prop_assert!(own <= d, "centroid {c} is nearer than {l}");
+                }
             }
         }
     }

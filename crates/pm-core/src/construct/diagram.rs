@@ -91,23 +91,20 @@ impl CitySemanticDiagram {
         stay_points: &[LocalPoint],
         params: &MinerParams,
     ) -> Result<Self, MinerError> {
-        Self::build_with_options(pois, stay_points, params, ConstructionOptions::default())
+        Self::build_observed(
+            pois,
+            stay_points,
+            params,
+            ConstructionOptions::default(),
+            &pm_obs::Obs::noop(),
+        )
     }
 
-    /// Construction with individual steps disabled (ablation studies).
-    pub fn build_with_options(
-        pois: &[Poi],
-        stay_points: &[LocalPoint],
-        params: &MinerParams,
-        options: ConstructionOptions,
-    ) -> Result<Self, MinerError> {
-        Self::build_observed(pois, stay_points, params, options, &pm_obs::Obs::noop())
-    }
-
-    /// [`Self::build_with_options`] under observation: each construction
-    /// phase is timed as a `construct.*` span and the phase outputs are
-    /// counted. Observation is one-way — the diagram built is byte-identical
-    /// to an unobserved build.
+    /// [`Self::build`] with explicit [`ConstructionOptions`] (ablation
+    /// studies disable individual steps), under observation: each
+    /// construction phase is timed as a `construct.*` span and the phase
+    /// outputs are counted. Observation is one-way — the diagram built is
+    /// byte-identical to an unobserved build.
     pub fn build_observed(
         pois: &[Poi],
         stay_points: &[LocalPoint],
@@ -472,7 +469,7 @@ mod tests {
             ..MinerParams::default()
         };
         let full = CitySemanticDiagram::build(&pois, &stays, &params).expect("build");
-        let no_merge = CitySemanticDiagram::build_with_options(
+        let no_merge = CitySemanticDiagram::build_observed(
             &pois,
             &stays,
             &params,
@@ -480,6 +477,7 @@ mod tests {
                 purify: true,
                 merge: false,
             },
+            &pm_obs::Obs::noop(),
         )
         .expect("build");
         // Without merging, leftover POIs stay uncovered.

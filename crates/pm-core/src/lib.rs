@@ -56,8 +56,9 @@
 //! Both calls return `Result`: invalid [`MinerParams`] fail fast with a
 //! typed [`error::MinerError`], while degenerate *data* (non-finite
 //! coordinates, degenerate clusters) degrades gracefully and is reported
-//! through [`construct::CitySemanticDiagram::degradations`] and the
-//! `*_tracked` function variants in [`recognize`] and [`extract`].
+//! through [`construct::CitySemanticDiagram::degradations`] and the events
+//! vector of the `*_observed` stage entry points in [`recognize`] and
+//! [`extract`].
 
 pub mod construct;
 pub mod contain;

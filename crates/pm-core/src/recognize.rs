@@ -89,28 +89,15 @@ pub fn collapse_window(window: &[GpsPoint]) -> StayPoint {
     StayPoint::untagged(sum / n as f64, (t_sum / n as i128) as i64)
 }
 
-/// Converts a GPS trajectory into an (untagged) semantic trajectory — the
-/// `SemanticTrajectory` function invoked in Algorithm 3 line 3.
-pub fn semantic_trajectory(traj: &GpsTrajectory, params: &MinerParams) -> SemanticTrajectory {
-    SemanticTrajectory::new(detect_stay_points(traj, params))
-}
-
 /// Definition 5 over a whole corpus: stay-point detection of every raw
 /// trajectory, fanned out over `params.threads` workers (each journey is
 /// independent, so workers fill disjoint output slots and the result is
 /// bit-identical to the serial loop). Degradation events are folded back in
 /// trajectory order, exactly as a serial sweep would record them.
-pub fn detect_all_stay_points_tracked(
-    trajectories: &[GpsTrajectory],
-    params: &MinerParams,
-    events: &mut Vec<Degradation>,
-) -> Vec<Vec<StayPoint>> {
-    detect_all_stay_points_observed(trajectories, params, events, &pm_obs::Obs::noop())
-}
-
-/// [`detect_all_stay_points_tracked`] under observation: the corpus sweep is
-/// timed as a `recognize.stay_detect` span and the extracted stay points are
-/// counted. The detected stay points are byte-identical either way.
+///
+/// The corpus sweep is timed as a `recognize.stay_detect` span and the
+/// extracted stay points are counted; observation never changes the
+/// detected stay points.
 pub fn detect_all_stay_points_observed(
     trajectories: &[GpsTrajectory],
     params: &MinerParams,
@@ -136,14 +123,15 @@ pub fn detect_all_stay_points_observed(
     out
 }
 
-/// Batch form of [`semantic_trajectory`]: Definition 5 across the corpus on
-/// `params.threads` workers, discarding degradation events.
+/// Converts raw GPS trajectories into (untagged) semantic trajectories — the
+/// `SemanticTrajectory` function invoked in Algorithm 3 line 3 — across the
+/// corpus on `params.threads` workers, discarding degradation events.
 pub fn semantic_trajectories_of(
     trajectories: &[GpsTrajectory],
     params: &MinerParams,
 ) -> Vec<SemanticTrajectory> {
     let mut events = Vec::new();
-    detect_all_stay_points_tracked(trajectories, params, &mut events)
+    detect_all_stay_points_observed(trajectories, params, &mut events, &pm_obs::Obs::noop())
         .into_iter()
         .map(SemanticTrajectory::new)
         .collect()
@@ -161,22 +149,12 @@ pub fn recognize_stay_point(
     kernel: &GaussianKernel,
     pos: LocalPoint,
 ) -> Tags {
-    recognize_stay_point_full(csd, kernel, pos).0
+    vote(csd, kernel, pos).1
 }
 
 /// Like [`recognize_stay_point`], additionally returning the *primary*
-/// category: the strongest-voting category within the winning unit, which
-/// drives the sequence-mining item for multi-tag units.
-pub fn recognize_stay_point_full(
-    csd: &CitySemanticDiagram,
-    kernel: &GaussianKernel,
-    pos: LocalPoint,
-) -> (Tags, Option<Category>) {
-    let (_unit, tags, primary, _ballots) = vote(csd, kernel, pos);
-    (tags, primary)
-}
-
-/// Like [`recognize_stay_point_full`], additionally returning the id of the
+/// category (the strongest-voting category within the winning unit, which
+/// drives the sequence-mining item for multi-tag units) and the id of the
 /// winning semantic unit (an index into
 /// [`CitySemanticDiagram::units`](crate::construct::CitySemanticDiagram::units)).
 /// This is the point-lookup primitive of the online query service: "which
@@ -260,24 +238,14 @@ pub fn recognize_all(
     params: &MinerParams,
 ) -> Result<Vec<SemanticTrajectory>, MinerError> {
     let mut events = Vec::new();
-    recognize_all_tracked(csd, trajectories, params, &mut events)
+    recognize_all_observed(csd, trajectories, params, &mut events, &pm_obs::Obs::noop())
 }
 
 /// Like [`recognize_all`], additionally recording how many stay points were
-/// left untagged because their position is non-finite.
-pub fn recognize_all_tracked(
-    csd: &CitySemanticDiagram,
-    trajectories: Vec<SemanticTrajectory>,
-    params: &MinerParams,
-    events: &mut Vec<Degradation>,
-) -> Result<Vec<SemanticTrajectory>, MinerError> {
-    recognize_all_observed(csd, trajectories, params, events, &pm_obs::Obs::noop())
-}
-
-/// [`recognize_all_tracked`] under observation: the voting sweep is timed as
-/// a `recognize.vote` span, and tagged/untagged stay points plus the ballots
-/// cast (one per in-range unit-owned POI) are counted. The tagging produced
-/// is byte-identical to an unobserved run.
+/// left untagged because their position is non-finite. The voting sweep is
+/// timed as a `recognize.vote` span, and tagged/untagged stay points plus
+/// the ballots cast (one per in-range unit-owned POI) are counted. The
+/// tagging produced is byte-identical to an unobserved run.
 pub fn recognize_all_observed(
     csd: &CitySemanticDiagram,
     trajectories: Vec<SemanticTrajectory>,
@@ -488,7 +456,8 @@ mod tests {
             StayPoint::untagged(LocalPoint::new(0.0, 0.0), 3600),
         ])];
         let mut events = Vec::new();
-        let out = recognize_all_tracked(&csd, trajs, &params, &mut events).expect("recognize");
+        let out = recognize_all_observed(&csd, trajs, &params, &mut events, &pm_obs::Obs::noop())
+            .expect("recognize");
         assert!(out[0].stays[0].tags.is_empty());
         assert!(out[0].stays[1].tags.contains(Category::Shop));
         assert_eq!(
@@ -572,7 +541,8 @@ mod tests {
         for threads in [1, 4] {
             let p = MinerParams { threads, ..params };
             let mut events = Vec::new();
-            let batch = detect_all_stay_points_tracked(&tracks, &p, &mut events);
+            let batch =
+                detect_all_stay_points_observed(&tracks, &p, &mut events, &pm_obs::Obs::noop());
             assert_eq!(batch, serial, "threads = {threads}");
             assert_eq!(events, serial_events);
         }

@@ -1,6 +1,5 @@
-//! Polyline geometry: length, interpolation and resampling of point
-//! sequences — the raw-trajectory manipulation layer under GPS track
-//! generation and map rendering.
+//! Polyline geometry: length and arc-length interpolation of point
+//! sequences — the raw-trajectory layer under GPS track generation.
 
 use crate::point::LocalPoint;
 
@@ -34,80 +33,6 @@ pub fn point_at(points: &[LocalPoint], t: f64) -> Option<LocalPoint> {
         walked += seg;
     }
     Some(*points.last().expect("non-empty"))
-}
-
-/// Resamples the polyline into `n` points equally spaced by arc length
-/// (endpoints included). Returns the input for `n < 2` or degenerate lines.
-pub fn resample(points: &[LocalPoint], n: usize) -> Vec<LocalPoint> {
-    if points.len() < 2 || n < 2 {
-        return points.to_vec();
-    }
-    (0..n)
-        .map(|i| point_at(points, i as f64 / (n - 1) as f64).expect("non-empty by the guard above"))
-        .collect()
-}
-
-/// Minimum distance from `p` to the polyline (segment-wise point-to-segment
-/// distance). Returns infinity for an empty polyline.
-pub fn distance_to(points: &[LocalPoint], p: LocalPoint) -> f64 {
-    if points.is_empty() {
-        return f64::INFINITY;
-    }
-    if points.len() == 1 {
-        return points[0].distance(&p);
-    }
-    points
-        .windows(2)
-        .map(|w| point_segment_distance(p, w[0], w[1]))
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// Distance from a point to a segment `[a, b]`.
-pub fn point_segment_distance(p: LocalPoint, a: LocalPoint, b: LocalPoint) -> f64 {
-    let ab = b - a;
-    let len_sq = ab.norm_sq();
-    if len_sq <= 0.0 {
-        return p.distance(&a);
-    }
-    let t = (((p.x - a.x) * ab.x + (p.y - a.y) * ab.y) / len_sq).clamp(0.0, 1.0);
-    p.distance(&(a + ab * t))
-}
-
-/// Douglas–Peucker simplification: keeps the endpoints and every vertex
-/// farther than `epsilon` meters from the simplified chain.
-pub fn simplify(points: &[LocalPoint], epsilon: f64) -> Vec<LocalPoint> {
-    if points.len() <= 2 {
-        return points.to_vec();
-    }
-    let mut keep = vec![false; points.len()];
-    keep[0] = true;
-    keep[points.len() - 1] = true;
-    dp_rec(points, 0, points.len() - 1, epsilon, &mut keep);
-    points
-        .iter()
-        .zip(&keep)
-        .filter(|(_, &k)| k)
-        .map(|(p, _)| *p)
-        .collect()
-}
-
-fn dp_rec(points: &[LocalPoint], lo: usize, hi: usize, epsilon: f64, keep: &mut [bool]) {
-    if hi <= lo + 1 {
-        return;
-    }
-    let (mut worst, mut worst_d) = (lo, -1.0);
-    for i in lo + 1..hi {
-        let d = point_segment_distance(points[i], points[lo], points[hi]);
-        if d > worst_d {
-            worst = i;
-            worst_d = d;
-        }
-    }
-    if worst_d > epsilon {
-        keep[worst] = true;
-        dp_rec(points, lo, worst, epsilon, keep);
-        dp_rec(points, worst, hi, epsilon, keep);
-    }
 }
 
 #[cfg(test)]
@@ -144,63 +69,5 @@ mod tests {
         // t = 0.75 -> 6m along an 8m line -> 2m up the second leg.
         let p = point_at(&line, 0.75).unwrap();
         assert!(p.distance(&l(4.0, 2.0)) < 1e-9);
-    }
-
-    #[test]
-    fn resample_even_spacing() {
-        let line = vec![l(0.0, 0.0), l(10.0, 0.0)];
-        let r = resample(&line, 5);
-        assert_eq!(r.len(), 5);
-        for (i, p) in r.iter().enumerate() {
-            assert!((p.x - i as f64 * 2.5).abs() < 1e-9);
-        }
-        // Degenerate inputs pass through.
-        assert_eq!(resample(&line, 1), line);
-        assert_eq!(resample(&[l(1.0, 1.0)], 5), vec![l(1.0, 1.0)]);
-    }
-
-    #[test]
-    fn segment_distance_cases() {
-        let a = l(0.0, 0.0);
-        let b = l(10.0, 0.0);
-        assert!((point_segment_distance(l(5.0, 3.0), a, b) - 3.0).abs() < 1e-12);
-        assert!((point_segment_distance(l(-4.0, 3.0), a, b) - 5.0).abs() < 1e-12);
-        assert!((point_segment_distance(l(13.0, 4.0), a, b) - 5.0).abs() < 1e-12);
-        // Degenerate segment.
-        assert!((point_segment_distance(l(3.0, 4.0), a, a) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn distance_to_polyline() {
-        let line = vec![l(0.0, 0.0), l(10.0, 0.0), l(10.0, 10.0)];
-        assert!((distance_to(&line, l(5.0, 2.0)) - 2.0).abs() < 1e-12);
-        assert!((distance_to(&line, l(12.0, 5.0)) - 2.0).abs() < 1e-12);
-        assert_eq!(distance_to(&[], l(0.0, 0.0)), f64::INFINITY);
-    }
-
-    #[test]
-    fn simplify_straight_line_collapses() {
-        let line: Vec<LocalPoint> = (0..20).map(|i| l(i as f64, 0.0)).collect();
-        let s = simplify(&line, 0.5);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[0], line[0]);
-        assert_eq!(s[1], line[19]);
-    }
-
-    #[test]
-    fn simplify_keeps_corners() {
-        let line = vec![l(0.0, 0.0), l(5.0, 0.1), l(10.0, 0.0), l(10.0, 10.0)];
-        let s = simplify(&line, 1.0);
-        assert!(s.contains(&l(10.0, 0.0)), "the corner must survive");
-        assert!(
-            !s.contains(&l(5.0, 0.1)),
-            "the near-collinear point must go"
-        );
-    }
-
-    #[test]
-    fn simplify_preserves_short_inputs() {
-        let two = vec![l(0.0, 0.0), l(1.0, 1.0)];
-        assert_eq!(simplify(&two, 10.0), two);
     }
 }

@@ -143,36 +143,3 @@ proptest! {
         prop_assert!(den(&points) > 0.0);
     }
 }
-
-proptest! {
-    #[test]
-    fn rtree_circle_matches_brute_force(
-        points in point_vec(150),
-        q in local_point(),
-        radius in 0.0..2_000.0f64,
-    ) {
-        let tree = pm_geo::RTree::build(&points);
-        let mut got = tree.query_circle(q, radius);
-        got.sort_unstable();
-        let want: Vec<usize> = (0..points.len())
-            .filter(|&i| points[i].distance(&q) <= radius)
-            .collect();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn rtree_rect_matches_brute_force(
-        points in point_vec(150),
-        a in local_point(),
-        b in local_point(),
-    ) {
-        let bb = pm_geo::BoundingBox::new(a, b);
-        let tree = pm_geo::RTree::build(&points);
-        let mut got = tree.query_rect(&bb);
-        got.sort_unstable();
-        let want: Vec<usize> = (0..points.len())
-            .filter(|&i| bb.contains(points[i]))
-            .collect();
-        prop_assert_eq!(got, want);
-    }
-}

@@ -73,7 +73,7 @@ fn parse_journey(
 /// A lazy line-at-a-time reader over journey CSV text: each item is one
 /// parsed [`JourneyRecord`] or the line-exact [`IoError`] for that record.
 ///
-/// Unlike [`read_journeys_with`], nothing is buffered — the CLI `replay`
+/// Unlike [`read_journeys_observed`], nothing is buffered — the CLI `replay`
 /// command walks a whole log this way while batching records onto the wire,
 /// deciding per line whether to skip or abort. Collecting the `Ok` items
 /// (and counting the `Err` ones) reproduces a lenient batch read exactly.
@@ -103,35 +103,41 @@ impl Iterator for JourneyStream<'_> {
 
 /// Reads a journey log from CSV text, projecting into the local frame.
 /// Rejects records whose drop-off does not strictly follow the pick-up.
-/// Fails fast on the first malformed record — the strict form of
-/// [`read_journeys_with`].
+/// Fails fast on the first malformed record — the strict, serial form of
+/// [`read_journeys_observed`].
 pub fn read_journeys(text: &str, projection: &Projection) -> Result<Vec<JourneyRecord>, IoError> {
-    read_journeys_with(text, projection, IngestMode::Strict).map(|(journeys, _)| journeys)
+    read_journeys_observed(
+        text,
+        projection,
+        IngestMode::Strict,
+        1,
+        &pm_obs::Obs::noop(),
+    )
+    .map(|(journeys, _)| journeys)
 }
 
-/// Reads a journey log under an explicit [`IngestMode`]. In lenient mode
-/// malformed records are quarantined instead of failing the read; the
-/// report accounts for every dropped line.
-pub fn read_journeys_with(
-    text: &str,
-    projection: &Projection,
-    mode: IngestMode,
-) -> Result<(Vec<JourneyRecord>, QuarantineReport), IoError> {
-    read_journeys_threads(text, projection, mode, 1)
-}
-
-/// [`read_journeys_with`] across `threads` workers (`0` = all cores).
+/// Reads a journey log under an explicit [`IngestMode`] across `threads`
+/// workers (`0` = all cores). In lenient mode malformed records are
+/// quarantined instead of failing the read; the report accounts for every
+/// dropped line.
 ///
 /// Lines parse independently; results fold back in line order, so the log,
 /// quarantine report, and (in strict mode) the reported first error are all
 /// identical to the serial read. The only parallel-path difference is wasted
 /// work: a strict parse no longer stops at the first malformed line.
-pub fn read_journeys_threads(
+///
+/// The read is timed as an `ingest.journeys` span, parsed lines are counted
+/// under `io.journey_lines_read`, and lenient-mode drops land in the
+/// `quarantine.journeys_dropped` counter (registered at zero so clean runs
+/// still report it). The parsed log is identical to an unobserved read.
+pub fn read_journeys_observed(
     text: &str,
     projection: &Projection,
     mode: IngestMode,
     threads: usize,
+    obs: &pm_obs::Obs,
 ) -> Result<(Vec<JourneyRecord>, QuarantineReport), IoError> {
+    let span = obs.span("ingest.journeys");
     let lines: Vec<(usize, &str)> = data_lines(text, "pickup_lon").collect();
     let parsed = pm_runtime::par_map(&lines, threads, |&(line_no, line)| {
         parse_journey(line_no, line, projection)
@@ -147,32 +153,13 @@ pub fn read_journeys_threads(
             },
         }
     }
-    Ok((out, report))
-}
-
-/// [`read_journeys_threads`] under observation: the read is timed as an
-/// `ingest.journeys` span, parsed lines are counted under
-/// `io.journey_lines_read`, and lenient-mode drops land in the
-/// `quarantine.journeys_dropped` counter (registered at zero so clean runs
-/// still report it). The parsed log is identical to an unobserved read.
-pub fn read_journeys_observed(
-    text: &str,
-    projection: &Projection,
-    mode: IngestMode,
-    threads: usize,
-    obs: &pm_obs::Obs,
-) -> Result<(Vec<JourneyRecord>, QuarantineReport), IoError> {
-    let span = obs.span("ingest.journeys");
-    let result = read_journeys_threads(text, projection, mode, threads);
     span.finish();
-    if let Ok((journeys, report)) = &result {
-        obs.incr(
-            "io.journey_lines_read",
-            (journeys.len() + report.dropped()) as u64,
-        );
-        obs.incr("quarantine.journeys_dropped", report.dropped() as u64);
-    }
-    result
+    obs.incr(
+        "io.journey_lines_read",
+        (out.len() + report.dropped()) as u64,
+    );
+    obs.incr("quarantine.journeys_dropped", report.dropped() as u64);
+    Ok((out, report))
 }
 
 /// Writes a journey log as CSV text (with header).
@@ -232,6 +219,7 @@ pub fn journeys_to_trajectories(journeys: &[JourneyRecord]) -> Vec<SemanticTraje
 mod tests {
     use super::*;
     use pm_geo::LocalPoint;
+    use pm_obs::Obs;
 
     fn proj() -> Projection {
         Projection::new(GeoPoint::new(121.4737, 31.2304))
@@ -307,7 +295,8 @@ mod tests {
                     121.5,31.2,900,121.6,31.3,850,7\n\
                     121.5,oops,1000,121.6,31.3,1100,\n\
                     121.5,31.2,2000,121.6,31.3,2600,\n";
-        let (journeys, report) = read_journeys_with(text, &proj(), IngestMode::Lenient).unwrap();
+        let (journeys, report) =
+            read_journeys_observed(text, &proj(), IngestMode::Lenient, 1, &Obs::noop()).unwrap();
         assert_eq!(journeys.len(), 2);
         assert_eq!(report.dropped(), 2);
         assert!(report.to_string().contains("line 3"));
@@ -315,7 +304,8 @@ mod tests {
         let trajs = journeys_to_trajectories(&journeys);
         assert_eq!(trajs.len(), 2);
         // Strict mode dies at the time-travel record first.
-        let err = read_journeys_with(text, &proj(), IngestMode::Strict).unwrap_err();
+        let err =
+            read_journeys_observed(text, &proj(), IngestMode::Strict, 1, &Obs::noop()).unwrap_err();
         assert!(err.to_string().contains("line 3"), "{err}");
     }
 
@@ -336,15 +326,19 @@ mod tests {
                 );
             }
         }
-        let serial = read_journeys_with(&text, &proj(), IngestMode::Lenient).unwrap();
+        let serial =
+            read_journeys_observed(&text, &proj(), IngestMode::Lenient, 1, &Obs::noop()).unwrap();
         for threads in [2, 4] {
             let parallel =
-                read_journeys_threads(&text, &proj(), IngestMode::Lenient, threads).unwrap();
+                read_journeys_observed(&text, &proj(), IngestMode::Lenient, threads, &Obs::noop())
+                    .unwrap();
             assert_eq!(serial.0, parallel.0, "threads = {threads}");
             assert_eq!(serial.1.to_string(), parallel.1.to_string());
-            let se = read_journeys_with(&text, &proj(), IngestMode::Strict).unwrap_err();
+            let se = read_journeys_observed(&text, &proj(), IngestMode::Strict, 1, &Obs::noop())
+                .unwrap_err();
             let pe =
-                read_journeys_threads(&text, &proj(), IngestMode::Strict, threads).unwrap_err();
+                read_journeys_observed(&text, &proj(), IngestMode::Strict, threads, &Obs::noop())
+                    .unwrap_err();
             assert_eq!(se.to_string(), pe.to_string());
         }
     }
@@ -364,7 +358,8 @@ mod tests {
             .filter_map(|r| r.as_ref().ok().copied())
             .collect();
         let errs = streamed.iter().filter(|r| r.is_err()).count();
-        let (batch, report) = read_journeys_with(text, &p, IngestMode::Lenient).unwrap();
+        let (batch, report) =
+            read_journeys_observed(text, &p, IngestMode::Lenient, 1, &Obs::noop()).unwrap();
         assert_eq!(ok, batch);
         assert_eq!(errs, report.dropped());
         // Errors keep their line-exact context.

@@ -15,9 +15,10 @@
 //! and compact snake-case aliases ("shop").
 //!
 //! Both readers come in a strict flavour (fail fast on the first malformed
-//! record, with a line-exact [`IoError`]) and a `_with` flavour taking an
-//! [`IngestMode`]: lenient ingestion skips malformed records and returns a
-//! capped [`QuarantineReport`] accounting for every dropped line.
+//! record, with a line-exact [`IoError`]) and an `_observed` flavour taking
+//! an [`IngestMode`], a worker count, and an observer: lenient ingestion
+//! skips malformed records and returns a capped [`QuarantineReport`]
+//! accounting for every dropped line.
 
 pub mod csv;
 pub mod error;
@@ -27,12 +28,10 @@ pub mod quarantine;
 
 pub use error::IoError;
 pub use journeys::{
-    journeys_to_trajectories, read_journeys, read_journeys_observed, read_journeys_threads,
-    read_journeys_with, write_journeys, JourneyRecord, JourneyStream,
+    journeys_to_trajectories, read_journeys, read_journeys_observed, write_journeys, JourneyRecord,
+    JourneyStream,
 };
-pub use pois::{
-    parse_category, read_pois, read_pois_observed, read_pois_threads, read_pois_with, write_pois,
-};
+pub use pois::{parse_category, read_pois, read_pois_observed, write_pois};
 pub use quarantine::{IngestMode, QuarantineReport};
 
 /// WGS-84 anchor of the paper's deployment frame: central Shanghai, where

@@ -104,35 +104,41 @@ fn parse_poi(line_no: usize, line: &str, projection: &Projection) -> Result<Poi,
 
 /// Reads a POI table from CSV text. Columns: `id,lon,lat,category[,minor]`;
 /// a header starting with `id` is skipped; positions are projected into the
-/// local frame. Fails fast on the first malformed record — the strict form
-/// of [`read_pois_with`].
+/// local frame. Fails fast on the first malformed record — the strict,
+/// serial form of [`read_pois_observed`].
 pub fn read_pois(text: &str, projection: &Projection) -> Result<Vec<Poi>, IoError> {
-    read_pois_with(text, projection, IngestMode::Strict).map(|(pois, _)| pois)
+    read_pois_observed(
+        text,
+        projection,
+        IngestMode::Strict,
+        1,
+        &pm_obs::Obs::noop(),
+    )
+    .map(|(pois, _)| pois)
 }
 
-/// Reads a POI table under an explicit [`IngestMode`]. In lenient mode
-/// malformed records are quarantined instead of failing the read; the
-/// report accounts for every dropped line.
-pub fn read_pois_with(
-    text: &str,
-    projection: &Projection,
-    mode: IngestMode,
-) -> Result<(Vec<Poi>, QuarantineReport), IoError> {
-    read_pois_threads(text, projection, mode, 1)
-}
-
-/// [`read_pois_with`] across `threads` workers (`0` = all cores).
+/// Reads a POI table under an explicit [`IngestMode`] across `threads`
+/// workers (`0` = all cores). In lenient mode malformed records are
+/// quarantined instead of failing the read; the report accounts for every
+/// dropped line.
 ///
 /// Lines parse independently; results fold back in line order, so the table,
 /// quarantine report, and (in strict mode) the reported first error are all
 /// identical to the serial read. The only parallel-path difference is wasted
 /// work: a strict parse no longer stops at the first malformed line.
-pub fn read_pois_threads(
+///
+/// The read is timed as an `ingest.pois` span, parsed lines are counted
+/// under `io.poi_lines_read`, and lenient-mode drops land in the
+/// `quarantine.pois_dropped` counter (registered at zero so clean runs still
+/// report it). The parsed table is identical to an unobserved read.
+pub fn read_pois_observed(
     text: &str,
     projection: &Projection,
     mode: IngestMode,
     threads: usize,
+    obs: &pm_obs::Obs,
 ) -> Result<(Vec<Poi>, QuarantineReport), IoError> {
+    let span = obs.span("ingest.pois");
     let lines: Vec<(usize, &str)> = data_lines(text, "id").collect();
     let parsed = pm_runtime::par_map(&lines, threads, |&(line_no, line)| {
         parse_poi(line_no, line, projection)
@@ -148,29 +154,10 @@ pub fn read_pois_threads(
             },
         }
     }
-    Ok((out, report))
-}
-
-/// [`read_pois_threads`] under observation: the read is timed as an
-/// `ingest.pois` span, parsed lines are counted under `io.poi_lines_read`,
-/// and lenient-mode drops land in the `quarantine.pois_dropped` counter
-/// (registered at zero so clean runs still report it). The parsed table is
-/// identical to an unobserved read.
-pub fn read_pois_observed(
-    text: &str,
-    projection: &Projection,
-    mode: IngestMode,
-    threads: usize,
-    obs: &pm_obs::Obs,
-) -> Result<(Vec<Poi>, QuarantineReport), IoError> {
-    let span = obs.span("ingest.pois");
-    let result = read_pois_threads(text, projection, mode, threads);
     span.finish();
-    if let Ok((pois, report)) = &result {
-        obs.incr("io.poi_lines_read", (pois.len() + report.dropped()) as u64);
-        obs.incr("quarantine.pois_dropped", report.dropped() as u64);
-    }
-    result
+    obs.incr("io.poi_lines_read", (out.len() + report.dropped()) as u64);
+    obs.incr("quarantine.pois_dropped", report.dropped() as u64);
+    Ok((out, report))
 }
 
 /// Writes a POI table as CSV text (with header), projecting back to WGS-84.
@@ -195,6 +182,7 @@ pub fn write_pois(pois: &[Poi], projection: &Projection) -> String {
 mod tests {
     use super::*;
     use pm_geo::LocalPoint;
+    use pm_obs::Obs;
 
     fn proj() -> Projection {
         Projection::new(GeoPoint::new(121.4737, 31.2304))
@@ -281,7 +269,8 @@ mod tests {
                     2,oops,31.2,shop\n\
                     3,121.6,31.3,palace\n\
                     4,121.7,31.1,medical\n";
-        let (pois, report) = read_pois_with(text, &proj(), IngestMode::Lenient).unwrap();
+        let (pois, report) =
+            read_pois_observed(text, &proj(), IngestMode::Lenient, 1, &Obs::noop()).unwrap();
         assert_eq!(pois.len(), 2);
         assert_eq!(pois[0].id, 1);
         assert_eq!(pois[1].id, 4);
@@ -290,7 +279,8 @@ mod tests {
         assert!(s.contains("line 3"), "{s}");
         assert!(s.contains("line 4"), "{s}");
         // Strict mode on the same input dies at the first bad line.
-        let err = read_pois_with(text, &proj(), IngestMode::Strict).unwrap_err();
+        let err =
+            read_pois_observed(text, &proj(), IngestMode::Strict, 1, &Obs::noop()).unwrap_err();
         assert!(err.to_string().contains("line 3"), "{err}");
     }
 
@@ -310,15 +300,20 @@ mod tests {
                 );
             }
         }
-        let serial = read_pois_with(&text, &proj(), IngestMode::Lenient).unwrap();
+        let serial =
+            read_pois_observed(&text, &proj(), IngestMode::Lenient, 1, &Obs::noop()).unwrap();
         for threads in [2, 4] {
-            let parallel = read_pois_threads(&text, &proj(), IngestMode::Lenient, threads).unwrap();
+            let parallel =
+                read_pois_observed(&text, &proj(), IngestMode::Lenient, threads, &Obs::noop())
+                    .unwrap();
             assert_eq!(serial.0, parallel.0, "threads = {threads}");
             assert_eq!(serial.1.dropped(), parallel.1.dropped());
             assert_eq!(serial.1.to_string(), parallel.1.to_string());
             // Strict mode reports the same first-in-file error.
-            let se = read_pois_with(&text, &proj(), IngestMode::Strict).unwrap_err();
-            let pe = read_pois_threads(&text, &proj(), IngestMode::Strict, threads).unwrap_err();
+            let se = read_pois_observed(&text, &proj(), IngestMode::Strict, 1, &Obs::noop())
+                .unwrap_err();
+            let pe = read_pois_observed(&text, &proj(), IngestMode::Strict, threads, &Obs::noop())
+                .unwrap_err();
             assert_eq!(se.to_string(), pe.to_string());
         }
     }

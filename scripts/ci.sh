@@ -10,6 +10,33 @@ die() {
     exit 1
 }
 
+# run_twice LABEL PREFIX FILE CMD...: runs CMD twice and dies unless both
+# runs print byte-identical stdout (kept as PREFIX-1.txt / PREFIX-2.txt)
+# and leave FILE, which CMD rewrites, with byte-identical contents.
+run_twice() {
+    local label="$1" prefix="$2" file="$3"
+    shift 3
+    "$@" > "$prefix-1.txt"
+    cp "$file" "$prefix-1.bytes"
+    "$@" > "$prefix-2.txt"
+    cmp -s "$prefix-1.txt" "$prefix-2.txt" \
+        || die "$label output differs across identical runs"
+    cmp -s "$file" "$prefix-1.bytes" \
+        || die "$label rewrote $file differently across identical runs"
+}
+
+# fetch_twice URL PATTERN PREFIX: GETs URL twice and dies unless the first
+# body (kept as PREFIX-a.json) contains PATTERN and both bodies are
+# byte-identical.
+fetch_twice() {
+    local url="$1" pattern="$2" prefix="$3"
+    curl -fsS "$url" > "$prefix-a.json"
+    grep -q "$pattern" "$prefix-a.json" || die "query $url failed"
+    curl -fsS "$url" > "$prefix-b.json"
+    cmp -s "$prefix-a.json" "$prefix-b.json" \
+        || die "responses to $url differ across identical queries"
+}
+
 command -v cargo > /dev/null 2>&1 \
     || die "cargo not found on PATH — install a Rust toolchain (rustup.rs) first"
 
@@ -44,6 +71,12 @@ done
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
+
+# pm-bench sits outside default-members, so the line above never compiles
+# it and the smoke benches below build only the six they run: lint every
+# bench target, or an API change could break a paper figure bench unseen.
+echo "==> cargo clippy -p pm-bench --all-targets -- -D warnings"
+cargo clippy -p pm-bench --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
@@ -273,44 +306,26 @@ cargo run --release -q -p pm-cli -- mine \
 [ -s "$artifact" ] || die "mine --artifact wrote nothing"
 cargo run --release -q -p pm-cli -- artifact-check "$artifact"
 
-# Motif mining: run the motifs command twice over the same corpus and
-# demand byte-identical reports, then prove the motif-bearing artifact
-# still round-trips. The serve smoke below boots from this artifact, so
-# /v1/motifs answers from a real table.
-echo "==> motif mining (motifs command, determinism + round trip)"
-cargo run --release -q -p pm-cli -- motifs \
-    --artifact "$artifact" --journeys examples/data/journeys.csv --lenient \
-    > "$workspace/target/ci-motifs-1.txt"
-cargo run --release -q -p pm-cli -- motifs \
-    --artifact "$artifact" --journeys examples/data/journeys.csv --lenient \
-    > "$workspace/target/ci-motifs-2.txt"
-cmp -s "$workspace/target/ci-motifs-1.txt" "$workspace/target/ci-motifs-2.txt" \
-    || die "motifs output differs across identical runs"
-grep -q 'motif classes over' "$workspace/target/ci-motifs-1.txt" \
-    || die "motifs mined no classes"
-cargo run --release -q -p pm-cli -- artifact-check "$artifact"
-
-# Cohort mining: run the cohorts command twice over the same corpus and
-# demand byte-identical stdout AND a byte-identical artifact on disk, then
-# prove the (motif + cohort)-bearing artifact still round-trips and
-# reports both optional sections. The serve smoke below boots from this
-# artifact, so the cohort endpoints answer from a real table.
-echo "==> cohort mining (cohorts command, determinism + round trip)"
-cargo run --release -q -p pm-cli -- cohorts \
-    --artifact "$artifact" --journeys examples/data/journeys.csv --lenient \
-    > "$workspace/target/ci-cohorts-1.txt"
-cp "$artifact" "$workspace/target/ci-city-cohorts-1.pmstore"
-cargo run --release -q -p pm-cli -- cohorts \
-    --artifact "$artifact" --journeys examples/data/journeys.csv --lenient \
-    > "$workspace/target/ci-cohorts-2.txt"
-cmp -s "$workspace/target/ci-cohorts-1.txt" "$workspace/target/ci-cohorts-2.txt" \
-    || die "cohorts output differs across identical runs"
-cmp -s "$artifact" "$workspace/target/ci-city-cohorts-1.pmstore" \
-    || die "cohort-bearing artifact differs across identical runs"
-grep -q 'users in' "$workspace/target/ci-cohorts-1.txt" \
-    || die "cohorts mined no users"
-cargo run --release -q -p pm-cli -- artifact-check "$artifact" \
-    | grep -q 'optional sections: motifs, cohorts' \
+# Motif and cohort mining: run each command twice over the same corpus and
+# demand byte-identical stdout AND a byte-identical artifact on disk, check
+# the report mined something, and prove the artifact still round-trips.
+# The (motif + cohort)-bearing artifact must report both optional
+# sections; the serve smoke below boots from it, so /v1/motifs and the
+# cohort endpoints answer from real tables.
+for row in "motifs|motif classes over|mined no classes" "cohorts|users in|mined no users"; do
+    section="${row%%|*}"
+    rest="${row#*|}"
+    expect="${rest%%|*}"
+    failure="${rest#*|}"
+    echo "==> $section mining ($section command, determinism + round trip)"
+    run_twice "$section" "$workspace/target/ci-$section" "$artifact" \
+        cargo run --release -q -p pm-cli -- "$section" \
+        --artifact "$artifact" --journeys examples/data/journeys.csv --lenient
+    grep -q "$expect" "$workspace/target/ci-$section-1.txt" || die "$section $failure"
+    cargo run --release -q -p pm-cli -- artifact-check "$artifact" \
+        > "$workspace/target/ci-$section-check.txt"
+done
+grep -q 'optional sections: motifs, cohorts' "$workspace/target/ci-cohorts-check.txt" \
     || die "artifact-check does not report both optional sections"
 
 # Serve smoke test: boot the query service on an ephemeral port, hit it
@@ -336,35 +351,22 @@ if command -v curl > /dev/null 2>&1; then
         | grep -q '"query"' || die "semantic lookup failed"
     curl -fsS "http://$addr/v1/patterns?limit=3" | grep -q '"total"' \
         || die "pattern query failed"
-    curl -fsS "http://$addr/v1/motifs?top=5" > "$workspace/target/ci-motifs-a.json"
-    grep -q '"total_days"' "$workspace/target/ci-motifs-a.json" \
-        || die "motif query failed"
-    curl -fsS "http://$addr/v1/motifs?top=5" > "$workspace/target/ci-motifs-b.json"
-    cmp -s "$workspace/target/ci-motifs-a.json" "$workspace/target/ci-motifs-b.json" \
-        || die "motif responses differ across identical queries"
 
-    # Cohort endpoints: deterministic bodies from the cohort-bearing
-    # artifact, double-fetched, plus the per-user index on a real user id
-    # taken from the cohorts command output.
-    curl -fsS "http://$addr/v1/cohorts" > "$workspace/target/ci-cohorts-a.json"
-    grep -q '"k_min"' "$workspace/target/ci-cohorts-a.json" \
-        || die "cohort query failed"
-    curl -fsS "http://$addr/v1/cohorts" > "$workspace/target/ci-cohorts-b.json"
-    cmp -s "$workspace/target/ci-cohorts-a.json" "$workspace/target/ci-cohorts-b.json" \
-        || die "cohort responses differ across identical queries"
+    # Motif and cohort endpoints: deterministic bodies from the
+    # cohort-bearing artifact, double-fetched, plus the per-user index on a
+    # real user id taken from the cohorts command output.
     cohort_user="$(sed -n 's/^  user \([^ ]*\).*/\1/p' \
         "$workspace/target/ci-cohorts-1.txt" | head -1)"
     [ -n "$cohort_user" ] || die "cohorts output listed no users"
     curl -fsS "http://$addr/v1/users/$cohort_user/patterns" \
         | grep -q '"cohort"' || die "user pattern query failed"
-    curl -fsS "http://$addr/v1/users/$cohort_user/similar?k=5" \
-        > "$workspace/target/ci-similar-a.json"
-    grep -q '"neighbors"' "$workspace/target/ci-similar-a.json" \
-        || die "similar-user query failed"
-    curl -fsS "http://$addr/v1/users/$cohort_user/similar?k=5" \
-        > "$workspace/target/ci-similar-b.json"
-    cmp -s "$workspace/target/ci-similar-a.json" "$workspace/target/ci-similar-b.json" \
-        || die "similar-user responses differ across identical queries"
+    for row in "motifs?top=5|\"total_days\"|motifs" \
+        "cohorts|\"k_min\"|cohorts" \
+        "users/$cohort_user/similar?k=5|\"neighbors\"|similar"; do
+        route="${row%%|*}"
+        rest="${row#*|}"
+        fetch_twice "http://$addr/v1/$route" "${rest%%|*}" "$workspace/target/ci-${rest#*|}"
+    done
 
     # Ingest smoke: replay the committed journeys against the live server
     # (throttled so it is still running when the reload lands), hot-swap

@@ -3,11 +3,11 @@
 //! duplicated records, teleports, truncation, and mangled CSV input — with
 //! no panics, reporting quarantined records and degradation events instead.
 
-use pervasive_miner::core::extract::extract_patterns_tracked;
-use pervasive_miner::core::recognize::recognize_all_tracked;
+use pervasive_miner::core::extract::extract_patterns_observed;
+use pervasive_miner::core::recognize::recognize_all_observed;
 use pervasive_miner::io::{
-    journeys_to_trajectories, read_journeys_with, read_pois_with, write_journeys, write_pois,
-    IngestMode, JourneyRecord,
+    journeys_to_trajectories, read_journeys_observed, read_pois_observed, write_journeys,
+    write_pois, IngestMode, JourneyRecord,
 };
 use pervasive_miner::prelude::*;
 use pervasive_miner::synth::{corrupt_csv, corrupt_trajectories, Corruption};
@@ -26,10 +26,10 @@ fn run_pipeline(
     let stays = stay_points_of(&trajectories);
     let csd = CitySemanticDiagram::build(pois, &stays, params).expect("valid params");
     events.extend(csd.degradations().iter().copied());
-    let recognized =
-        recognize_all_tracked(&csd, trajectories, params, &mut events).expect("valid params");
-    let patterns =
-        extract_patterns_tracked(&recognized, params, &mut events).expect("valid params");
+    let recognized = recognize_all_observed(&csd, trajectories, params, &mut events, &Obs::noop())
+        .expect("valid params");
+    let patterns = extract_patterns_observed(&recognized, params, &mut events, &Obs::noop())
+        .expect("valid params");
     (patterns, events)
 }
 
@@ -158,10 +158,16 @@ fn quarantine_ingestion_survives_mangled_csv() {
     assert!(poi_mangled > 0 && journey_mangled > 0);
 
     let (pois, poi_report) =
-        read_pois_with(&poi_text, &projection, IngestMode::Lenient).expect("lenient never fails");
-    let (survivors, journey_report) =
-        read_journeys_with(&journey_text, &projection, IngestMode::Lenient)
+        read_pois_observed(&poi_text, &projection, IngestMode::Lenient, 1, &Obs::noop())
             .expect("lenient never fails");
+    let (survivors, journey_report) = read_journeys_observed(
+        &journey_text,
+        &projection,
+        IngestMode::Lenient,
+        1,
+        &Obs::noop(),
+    )
+    .expect("lenient never fails");
 
     // Every record is accounted for: survivors + quarantined == written.
     assert_eq!(pois.len() + poi_report.dropped(), ds.pois.len());

@@ -7,9 +7,9 @@
 use pervasive_miner::cluster::GaussianKernel;
 use pervasive_miner::cohort::{embed_users, ClusterMethod, CohortParams, CohortTable, UserStay};
 use pervasive_miner::core::construct::ConstructionOptions;
-use pervasive_miner::core::extract::{extract_patterns_observed, extract_patterns_tracked};
+use pervasive_miner::core::extract::extract_patterns_observed;
 use pervasive_miner::core::recognize::{
-    recognize_all_observed, recognize_all_tracked, recognize_stay_point_unit, stay_points_of,
+    recognize_all_observed, recognize_stay_point_unit, stay_points_of,
 };
 use pervasive_miner::core::types::Poi;
 use pervasive_miner::prelude::*;
@@ -30,10 +30,10 @@ fn run_pipeline(
     let stays = stay_points_of(&trajectories);
     let csd = CitySemanticDiagram::build(pois, &stays, &params).expect("valid params");
     events.extend(csd.degradations().iter().copied());
-    let recognized =
-        recognize_all_tracked(&csd, trajectories, &params, &mut events).expect("valid params");
-    let patterns =
-        extract_patterns_tracked(&recognized, &params, &mut events).expect("valid params");
+    let recognized = recognize_all_observed(&csd, trajectories, &params, &mut events, &Obs::noop())
+        .expect("valid params");
+    let patterns = extract_patterns_observed(&recognized, &params, &mut events, &Obs::noop())
+        .expect("valid params");
     (patterns, events)
 }
 
