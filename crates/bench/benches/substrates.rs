@@ -29,6 +29,38 @@ fn blobby_points(n: usize) -> Vec<LocalPoint> {
     pts
 }
 
+/// Deterministic venue-concentrated stay points, shaped like the largest
+/// CounterpartCluster OPTICS run of the paper-scale `mine` corpus: half the
+/// points sit on venues inside one 700 m downtown square (all within 1 km of
+/// one another), the rest on venues over a 15 × 19 km city, and most points
+/// coincide exactly with their venue.
+fn venue_points(n: usize) -> Vec<LocalPoint> {
+    let mut state = 0x2545F4914F6CDD1Du64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let downtown: Vec<(f64, f64)> = (0..40)
+        .map(|_| (7_000.0 + next() * 700.0, 9_000.0 + next() * 700.0))
+        .collect();
+    let city: Vec<(f64, f64)> = (0..400)
+        .map(|_| (next() * 15_000.0, next() * 19_000.0))
+        .collect();
+    (0..n)
+        .map(|i| {
+            let sites = if i % 2 == 0 { &downtown } else { &city };
+            let (x, y) = sites[(next() * sites.len() as f64) as usize % sites.len()];
+            if next() < 0.6 {
+                LocalPoint::new(x, y)
+            } else {
+                LocalPoint::new(x + (next() - 0.5) * 100.0, y + (next() - 0.5) * 100.0)
+            }
+        })
+        .collect()
+}
+
 fn spatial_indexes(c: &mut Criterion) {
     let mut group = c.benchmark_group("index");
     for n in [1_000usize, 10_000] {
@@ -70,6 +102,13 @@ fn clustering(c: &mut Criterion) {
             b.iter(|| mean_shift(&pts, MeanShiftParams::new(100.0)))
         });
     }
+    // The regime that dominates `mine`: a generous max_eps over a
+    // venue-concentrated run, with the corpus' min_pts (sigma = 50).
+    let n = 15_000;
+    let pts = venue_points(n);
+    group.bench_with_input(BenchmarkId::new("optics_run_venues", n), &(), |b, _| {
+        b.iter(|| Optics::run(&pts, OpticsParams::new(1_000.0, 50)))
+    });
     group.finish();
 }
 

@@ -25,6 +25,7 @@ pub mod meanshift;
 pub mod ndim;
 pub(crate) mod neighborhoods;
 pub mod optics;
+mod reach_tree;
 
 pub use dbscan::{dbscan, DbscanParams};
 pub use kernel::{gaussian_coeff, GaussianKernel};

@@ -1,7 +1,7 @@
-//! Flat, parallel-precomputed neighbourhood lists for the density sweeps.
+//! Flat, parallel-precomputed neighbourhood lists for the DBSCAN sweep.
 //!
-//! OPTICS and DBSCAN both issue one circular range query per point. The
-//! queries are independent, so with more than one worker they are computed
+//! DBSCAN issues one circular range query per point. The queries are
+//! independent, so with more than one worker they are computed
 //! up front in parallel; the results land in one CSR-style (offsets + items)
 //! layout instead of a `Vec<Vec<usize>>`, so the precompute costs two
 //! allocations total rather than one per point. Each stored list is

@@ -9,31 +9,25 @@
 //! the classic OPTICS ordering plus an automatic threshold picked at the
 //! largest gap (knee) of the sorted reachability profile.
 
-use crate::neighborhoods::Neighborhoods;
+use crate::reach_tree::ReachTree;
 use crate::Clustering;
 use pm_geo::{GridIndex, LocalPoint, SoaPoints};
 
-/// Floor on the grid cell size backing the neighbourhood queries. A caller
-/// may legally pass a sub-nanometre `max_eps` (the constructor only demands
-/// "positive and finite"); building a faithful grid at that size over a
-/// clustered extent would be pathological, so the requested cell is clamped
-/// here and — beyond the clamp — [`GridIndex::build`]'s ~4-cells-per-point
-/// memory cap (surfaced via `cell_size_inflated`) bounds the allocation no
-/// matter what. Queries remain exact at the *requested* radius either way.
+/// Floor on the grid cell size backing the border-point recovery queries of
+/// [`Optics::extract_at`]. A caller may legally pass a sub-nanometre
+/// threshold; building a faithful grid at that size over a clustered extent
+/// would be pathological, so the requested cell is clamped here and —
+/// beyond the clamp — [`GridIndex::build`]'s ~4-cells-per-point memory cap
+/// (surfaced via `cell_size_inflated`) bounds the allocation no matter what.
+/// Queries remain exact at the *requested* radius either way.
 const MIN_CELL: f64 = 1e-9;
 
-/// Inputs at or below this size always take the dense sweep in
-/// [`Optics::run_finite`]: building a grid over a handful of points costs
-/// more than the O(n²) sweep it would accelerate.
-const SWEEP_MIN_N: usize = 64;
-
-/// The dense sweep also wins whenever neighbourhoods cover a substantial
-/// fraction of the input: with `max_eps² · 25 >= bbox area`, a query disk
-/// (area `π·eps²`) spans at least ~1/8th of the extent, so a grid query
-/// visits most points anyway — through an index indirection the sequential
-/// sweep doesn't pay. CounterpartCluster (generous `max_eps` over one
-/// pattern's stay points) lives entirely in this regime.
-const SWEEP_AREA_FACTOR: f64 = 25.0;
+/// Inputs at or below this size take the dense sweep in
+/// [`Optics::run_finite`]; larger ones take the pruned hierarchy. Below the
+/// cut the sweep's one vectorized pass per point costs less than building
+/// the tree and running a k-NN search per point; above it the quadratic
+/// pass loses (DESIGN.md §14.2 has the measurements).
+const SWEEP_MAX_N: usize = 512;
 
 /// OPTICS parameters.
 #[derive(Clone, Copy, Debug)]
@@ -44,36 +38,23 @@ pub struct OpticsParams {
     pub max_eps: f64,
     /// Minimum cluster size; Algorithm 4 passes the support threshold sigma.
     pub min_pts: usize,
-    /// Worker threads for the neighbourhood precompute (`0` = all cores,
-    /// `1` = serial). Has no effect on the ordering produced.
-    pub threads: usize,
 }
 
 impl OpticsParams {
     /// Creates a parameter set, validating `max_eps > 0` and `min_pts >= 1`.
-    /// Runs serially; see [`Self::with_threads`].
     pub fn new(max_eps: f64, min_pts: usize) -> Self {
         assert!(
             max_eps.is_finite() && max_eps > 0.0,
             "max_eps must be positive, got {max_eps}"
         );
         assert!(min_pts >= 1, "min_pts must be at least 1");
-        Self {
-            max_eps,
-            min_pts,
-            threads: 1,
-        }
-    }
-
-    /// Spreads the range queries over `threads` workers (`0` = all cores).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
+        Self { max_eps, min_pts }
     }
 }
 
 /// Indexed 4-ary min-heap over packed `(reachability bits, point id)` keys —
-/// the priority queue of [`Optics::run_finite`], with true decrease-key.
+/// the priority queue of the OPTICS wavefront ([`Frontier::order`]), with
+/// true decrease-key.
 ///
 /// Keys pack `f64::to_bits(reach)` in the high 64 bits and the point id in
 /// the low 32, so one integer comparison orders by `(reachability, id)`.
@@ -192,46 +173,297 @@ impl Heap4 {
     }
 }
 
+/// The wavefront state both neighbourhood kernels share: tentative
+/// reachability per point id (real meters — the heap domain), the visited
+/// mask, and the ordering queue.
+#[derive(Debug, Default)]
+struct Frontier {
+    reach: Vec<f64>,
+    processed: Vec<bool>,
+    heap: Heap4,
+}
+
+impl Frontier {
+    /// Records squared reachability `new_sq` for point `q`, which the
+    /// caller's squared twin of `reach` has just admitted with the strict
+    /// `new_sq < reach_sq[q]` gate. Distinct squared values can root to the
+    /// same f64, so the real-meter value is compared again before the heap
+    /// moves. `sqrt(max(a, b)) == max(sqrt a, sqrt b)` bitwise, so this is
+    /// the textbook `core.max(dist)` — `sqrt` fires only on actual updates.
+    fn improve(&mut self, q: usize, new_sq: f64) {
+        let new_reach = new_sq.sqrt();
+        if new_reach < self.reach[q] {
+            self.reach[q] = new_reach;
+            self.heap.decrease(new_reach, q as u32);
+        }
+    }
+
+    /// Runs the OPTICS ordering over ids `0..n`: each component is seeded
+    /// at the lowest unprocessed id, points pop by `(reachability, id)`, and
+    /// `expand(p, self)` applies processed point `p`'s reachability updates
+    /// through [`Self::improve`]. Returns the order and the reachability of
+    /// each point in that order.
+    ///
+    /// The updates one processed point makes are independent of each other
+    /// and the pop key is unique, so the pop sequence depends only on the
+    /// *set* of updates each `expand` makes, never on their order — which
+    /// is why the two kernels may enumerate neighbours differently.
+    fn order(
+        &mut self,
+        n: usize,
+        mut expand: impl FnMut(usize, &mut Self),
+    ) -> (Vec<usize>, Vec<f64>) {
+        self.reach.clear();
+        self.reach.resize(n, f64::INFINITY);
+        self.processed.clear();
+        self.processed.resize(n, false);
+        self.heap.reset(n);
+        let mut order = Vec::with_capacity(n);
+        let mut reach_in_order = Vec::with_capacity(n);
+        for seed in 0..n {
+            if self.processed[seed] {
+                continue;
+            }
+            // An unprocessed point off the heap was never reached: its
+            // reachability is still INFINITY.
+            debug_assert!(self.heap.is_empty());
+            self.heap.decrease(f64::INFINITY, seed as u32);
+            while let Some((r, p)) = self.heap.pop() {
+                // With decrease-key every entry is current: the popped key
+                // IS the point's reachability, and each point pops once.
+                debug_assert!(!self.processed[p]);
+                debug_assert_eq!(r.to_bits(), self.reach[p].to_bits());
+                self.processed[p] = true;
+                order.push(p);
+                reach_in_order.push(r);
+                expand(p, self);
+            }
+        }
+        (order, reach_in_order)
+    }
+}
+
 /// Reusable buffers for repeated OPTICS runs.
 ///
 /// CounterpartCluster (Algorithm 4) runs OPTICS once per pattern position of
-/// every coarse pattern — hundreds of small runs per extraction. Passing one
+/// every coarse pattern — hundreds of runs per extraction. Passing one
 /// scratch through [`Optics::run_with_scratch`] lets consecutive runs reuse
-/// the struct-of-arrays coordinate columns and the per-point sweep buffers
+/// the coordinate columns, the pruned hierarchy and the per-point buffers
 /// instead of reallocating them per run. A fresh `OpticsScratch::default()`
 /// is free (empty vectors), so one-shot callers lose nothing.
 #[derive(Debug, Default)]
 pub struct OpticsScratch {
-    /// Columnar copy of the input points for the distance kernel.
+    /// Columnar copy of the input points (dense sweep).
     soa: SoaPoints,
-    /// Current neighbour list (reused across the sweep).
-    nbrs: Vec<usize>,
-    /// Squared distances aligned with `nbrs`.
-    d_sq: Vec<f64>,
-    /// Squared distances to *all* points, for the dense-sweep path.
+    /// Squared distances to *all* points (dense sweep).
     all_sq: Vec<f64>,
-    /// Selection buffer for the core-distance order statistic. Holds the
-    /// squared distances as raw bits: they are non-negative IEEE values
-    /// (never NaN for finite inputs), so `u64` ordering coincides with
-    /// `f64::total_cmp` and the integer `select_nth_unstable` — no
-    /// comparator indirection — returns the exact same order statistic.
+    /// Selection buffer for the core-distance order statistic (dense
+    /// sweep). Holds the squared distances as raw bits: they are
+    /// non-negative IEEE values (never NaN for finite inputs), so `u64`
+    /// ordering coincides with `f64::total_cmp` and the integer
+    /// `select_nth_unstable` — no comparator indirection — returns the exact
+    /// same order statistic.
     core_bits: Vec<u64>,
-    /// Unprocessed point ids (dense-sweep path), maintained by swap-remove
-    /// so the reachability update only visits points that can still change.
+    /// Unprocessed point ids (dense sweep), maintained by swap-remove so the
+    /// reachability update only visits points that can still change.
     rem: Vec<u32>,
     /// `rem_pos[q]` is `q`'s index in `rem` while `q` is unprocessed.
     rem_pos: Vec<u32>,
-    /// Tentative reachability per original id (real meters — heap domain).
-    reach: Vec<f64>,
-    /// Squared twin of `reach`, the allocation-free prefilter that keeps
-    /// `sqrt` off the no-improvement path (`sqrt(reach_sq[q])` always equals
-    /// `reach[q]` bit for bit).
+    /// Squared twin of the frontier's `reach` (dense sweep), the prefilter
+    /// that keeps `sqrt` off the no-improvement path (`sqrt(reach_sq[q])`
+    /// always equals `reach[q]` bit for bit).
     reach_sq: Vec<f64>,
-    /// Visited mask.
-    processed: Vec<bool>,
-    /// Lazy-deletion priority queue (drains empty every run; the backing
-    /// allocation is what gets reused).
-    heap: Heap4,
+    /// Squared core distance per point id (pruned path).
+    core_sq: Vec<f64>,
+    /// The pruned neighbourhood hierarchy (pruned path).
+    tree: ReachTree,
+    /// Reachability, visited mask and ordering queue.
+    frontier: Frontier,
+    /// Point pairs whose squared distance the last run computed — the
+    /// `cluster.optics_visits` counter.
+    visits: u64,
+}
+
+/// One neighbourhood kernel: fills `core_distance` (indexed by point id)
+/// and returns the ordering and its reachability profile for finite
+/// `points`.
+type Kernel =
+    fn(&mut OpticsScratch, &[LocalPoint], OpticsParams, &mut [f64]) -> (Vec<usize>, Vec<f64>);
+
+impl OpticsScratch {
+    /// The production kernel choice: dense sweep for small inputs, pruned
+    /// hierarchy above [`SWEEP_MAX_N`].
+    fn auto(
+        &mut self,
+        points: &[LocalPoint],
+        params: OpticsParams,
+        core_distance: &mut [f64],
+    ) -> (Vec<usize>, Vec<f64>) {
+        if points.len() <= SWEEP_MAX_N {
+            self.sweep(points, params, core_distance)
+        } else {
+            self.pruned(points, params, core_distance)
+        }
+    }
+
+    /// Dense sweep: per processed point, one fused sequential pass over the
+    /// coordinate columns computes all `n` squared distances and gathers
+    /// the core-distance candidates; the reachability update then walks the
+    /// unprocessed list `rem`.
+    fn sweep(
+        &mut self,
+        points: &[LocalPoint],
+        params: OpticsParams,
+        core_distance: &mut [f64],
+    ) -> (Vec<usize>, Vec<f64>) {
+        let n = points.len();
+        let Self {
+            soa,
+            all_sq,
+            core_bits,
+            rem,
+            rem_pos,
+            reach_sq,
+            frontier,
+            visits,
+            ..
+        } = self;
+        soa.refill(points);
+        let r_sq = params.max_eps * params.max_eps;
+        reach_sq.clear();
+        reach_sq.resize(n, f64::INFINITY);
+        // The branchless gather writes through a cursor into `core_bits`
+        // without growing it, so the buffer spans `n` slots up front.
+        // Dropping each point from `rem` as it is processed halves the
+        // candidate visits over the whole run (the wavefront only ever
+        // improves unprocessed points).
+        core_bits.clear();
+        core_bits.resize(n, 0);
+        all_sq.clear();
+        all_sq.resize(n, 0.0);
+        rem.clear();
+        rem.extend(0..n as u32);
+        rem_pos.clear();
+        rem_pos.extend(0..n as u32);
+        *visits = 0;
+        // Warm-start threshold for the core-distance selection: consecutive
+        // wavefront points sit near each other, so the previous core
+        // distance (with margin) usually brackets the next one, shrinking
+        // the selection from n candidates to a handful. Any guess is safe —
+        // it gates only which (exact) selection strategy runs.
+        let mut core_guess = f64::INFINITY;
+        frontier.order(n, |p, frontier| {
+            // Drop p from the unprocessed list (O(1) swap-remove).
+            let ip = rem_pos[p] as usize;
+            rem.swap_remove(ip);
+            if ip < rem.len() {
+                rem_pos[rem[ip] as usize] = ip as u32;
+            }
+            if n < params.min_pts {
+                return; // can never be core
+            }
+            *visits += n as u64;
+            // Selecting over *all* squared distances decides coreness too:
+            // p has >= min_pts neighbours within max_eps exactly when the
+            // min_pts-th smallest distance is <= eps², and in that case the
+            // statistic over the full list equals the one over the <= eps²
+            // subset (every excluded value is strictly larger than every
+            // included one). The same subset argument makes the warm start
+            // exact: when at least min_pts values fall at or below the guess
+            // threshold, the statistic over that subset is the global one.
+            let t = 2.0 * core_guess; // margin for density drift
+            let cap = 8 * params.min_pts + 64;
+            // One fused pass computes every squared distance AND gathers the
+            // core-distance candidates at or below the guess threshold. The
+            // gather is branchless: write the bits at the cursor
+            // unconditionally, advance the cursor only on a hit, so the loop
+            // carries no hard-to-predict branch (venue-clustered inputs,
+            // with their coincident points, make a `filter` branch erratic).
+            // Same per-element arithmetic as `dist_sq_all`, bit for bit.
+            let mut m = 0usize;
+            if t.is_finite() {
+                let (xs, ys) = soa.cols();
+                let (px, py) = (points[p].x, points[p].y);
+                for i in 0..n {
+                    let dx = xs[i] - px;
+                    let dy = ys[i] - py;
+                    let v = dx * dx + dy * dy;
+                    all_sq[i] = v;
+                    core_bits[m] = v.to_bits();
+                    m += usize::from(v <= t);
+                }
+            } else {
+                soa.dist_sq_all(points[p], all_sq);
+            }
+            if m < params.min_pts || m > cap {
+                for (b, v) in core_bits.iter_mut().zip(all_sq.iter()) {
+                    *b = v.to_bits();
+                }
+                m = n;
+            }
+            let (_, kth, _) = core_bits[..m].select_nth_unstable(params.min_pts - 1);
+            let core_sq = f64::from_bits(*kth);
+            core_guess = core_sq;
+            if core_sq <= r_sq {
+                core_distance[p] = core_sq.sqrt();
+                for &q32 in rem.iter() {
+                    let q = q32 as usize;
+                    let dq = all_sq[q];
+                    if dq > r_sq {
+                        continue;
+                    }
+                    let new_sq = if dq > core_sq { dq } else { core_sq };
+                    if new_sq < reach_sq[q] {
+                        reach_sq[q] = new_sq;
+                        frontier.improve(q, new_sq);
+                    }
+                }
+            }
+        })
+    }
+
+    /// Pruned hierarchy: core distances first (a k-NN search per distinct
+    /// location), then per processed point one [`ReachTree::expand`] that
+    /// skips every node whose members' reachability cannot improve.
+    fn pruned(
+        &mut self,
+        points: &[LocalPoint],
+        params: OpticsParams,
+        core_distance: &mut [f64],
+    ) -> (Vec<usize>, Vec<f64>) {
+        let n = points.len();
+        let Self {
+            core_sq,
+            tree,
+            frontier,
+            visits,
+            ..
+        } = self;
+        let r_sq = params.max_eps * params.max_eps;
+        tree.build(points);
+        // A core distance depends only on the point set — the min_pts-th
+        // smallest distance over *all* points within max_eps, processed or
+        // not — so every one is known before the wavefront starts.
+        core_sq.clear();
+        core_sq.resize(n, f64::INFINITY);
+        tree.core_sq_all(params.min_pts, r_sq, core_sq);
+        for (d, &c) in core_distance.iter_mut().zip(core_sq.iter()) {
+            if c <= r_sq {
+                *d = c.sqrt();
+            }
+        }
+        let out = frontier.order(n, |p, frontier| {
+            tree.retire(p);
+            let c = core_sq[p];
+            if c <= r_sq {
+                tree.expand(points[p].x, points[p].y, c, r_sq, &mut |q, new_sq| {
+                    frontier.improve(q as usize, new_sq)
+                });
+            }
+        });
+        *visits = tree.visits();
+        out
+    }
 }
 
 /// The OPTICS ordering of a point set.
@@ -270,10 +502,53 @@ impl Optics {
         params: OpticsParams,
         scratch: &mut OpticsScratch,
     ) -> Self {
+        Self::run_with(points, params, scratch, OpticsScratch::auto)
+    }
+
+    /// [`Optics::run_with_scratch`] under observation: times the run as a
+    /// `cluster.optics` span (tagged with the worker slot when invoked from
+    /// inside a parallel region) and counts runs, points, the n² input-shape
+    /// volume and the distance evaluations actually made. Observability is
+    /// strictly one-way — the ordering produced is the one [`Optics::run`]
+    /// produces.
+    pub fn run_obs_with_scratch(
+        points: &[LocalPoint],
+        params: OpticsParams,
+        obs: &pm_obs::Obs,
+        scratch: &mut OpticsScratch,
+    ) -> Self {
+        let span = obs.span("cluster.optics");
+        let out = Self::run_with_scratch(points, params, scratch);
+        span.finish();
+        obs.incr("cluster.optics_runs", 1);
+        obs.incr("cluster.optics_points", points.len() as u64);
+        // Candidate-pair volume (n²): a shape of the input, not of the work
+        // — it is what an all-pairs sweep would cost, so a skewed run-size
+        // mix shows here even when the kernel prunes most pairs away.
+        obs.incr(
+            "cluster.optics_pairs",
+            (points.len() as u64).saturating_mul(points.len() as u64),
+        );
+        // The work: point pairs whose squared distance the kernel computed
+        // (n per core point on the dense sweep; leaf members scanned by the
+        // k-NN and reachability passes on the pruned path). Against
+        // `optics_pairs` it reads as the share of pairs pruning left.
+        obs.incr("cluster.optics_visits", scratch.visits);
+        out
+    }
+
+    /// Runs `kernel` over the finite points and appends the non-finite ones
+    /// as trailing isolated components.
+    fn run_with(
+        points: &[LocalPoint],
+        params: OpticsParams,
+        scratch: &mut OpticsScratch,
+        kernel: Kernel,
+    ) -> Self {
         let Some((subset, original)) = crate::finite_subset(points) else {
-            return Self::run_finite(points, params, scratch);
+            return Self::run_finite(points, params, scratch, kernel);
         };
-        let sub = Self::run_finite(&subset, params, scratch);
+        let sub = Self::run_finite(&subset, params, scratch, kernel);
         let mut order: Vec<usize> = sub.order.iter().map(|&k| original[k]).collect();
         let mut reachability = sub.reachability;
         let mut core_distance = vec![f64::INFINITY; points.len()];
@@ -295,294 +570,35 @@ impl Optics {
         }
     }
 
-    /// [`Optics::run_with_scratch`] under observation: times the run as a
-    /// `cluster.optics` span (tagged with the worker slot when invoked from
-    /// inside a parallel region) and counts runs and points clustered.
-    /// Observability is strictly one-way — the ordering produced is the one
-    /// [`Optics::run`] produces.
-    pub fn run_obs_with_scratch(
-        points: &[LocalPoint],
-        params: OpticsParams,
-        obs: &pm_obs::Obs,
-        scratch: &mut OpticsScratch,
-    ) -> Self {
-        let span = obs.span("cluster.optics");
-        let out = Self::run_with_scratch(points, params, scratch);
-        span.finish();
-        obs.incr("cluster.optics_runs", 1);
-        obs.incr("cluster.optics_points", points.len() as u64);
-        // Candidate-pair volume (n²): the sweeps are O(n·k) with k ≈ n under
-        // a generous max_eps, so this tracks the real work far better than
-        // the point count when run sizes are skewed.
-        obs.incr(
-            "cluster.optics_pairs",
-            (points.len() as u64).saturating_mul(points.len() as u64),
-        );
-        out
-    }
-
-    /// The core ordering sweep; `points` must all be finite.
+    /// The ordering of `points`, which must all be finite.
     ///
-    /// The hot loops work in *squared* meters against the struct-of-arrays
-    /// coordinate columns: neighbour distances are computed once per
-    /// processed point with no `sqrt`, the core distance is an
-    /// `O(k)` order-statistic selection over the squared values, and the
-    /// reachability update prefilters candidates in the squared domain —
-    /// `sqrt` fires only when a candidate actually improves a point's
-    /// reachability, because the heap and the reported reachability profile
-    /// are contractually in real meters. `sqrt` is monotone and correctly
-    /// rounded, so order statistics and `max` commute with it and every
-    /// emitted bit matches the naive real-distance formulation.
+    /// Both kernels work in *squared* meters: neighbour tests compare
+    /// `d² <= max_eps²`, the core distance is an order statistic of squared
+    /// values, and the reachability update prefilters candidates in the
+    /// squared domain — `sqrt` fires only when a candidate actually improves
+    /// a point's reachability, because the heap and the reported
+    /// reachability profile are contractually in real meters. `sqrt` is
+    /// monotone and correctly rounded, so order statistics and `max`
+    /// commute with it and every emitted bit matches the naive
+    /// real-distance formulation.
     fn run_finite(
         points: &[LocalPoint],
         params: OpticsParams,
         scratch: &mut OpticsScratch,
+        kernel: Kernel,
     ) -> Self {
-        let n = points.len();
-        let mut order = Vec::with_capacity(n);
-        let mut reach_in_order = Vec::with_capacity(n);
-        let mut core_distance = vec![f64::INFINITY; n];
-        if n == 0 {
-            return Self {
-                params,
-                order,
-                reachability: reach_in_order,
-                core_distance,
-                points: Vec::new(),
-            };
-        }
-
-        let OpticsScratch {
-            soa,
-            nbrs,
-            d_sq,
-            all_sq,
-            core_bits,
-            rem,
-            rem_pos,
-            reach,
-            reach_sq,
-            processed,
-            heap,
-        } = scratch;
-        // Point ids ride in 32 bits (`rem`, heap keys); 2·10⁹ points of
-        // f64 coordinates would not fit in memory anyway.
-        assert!(n <= u32::MAX as usize, "point count exceeds u32 id space");
-        soa.refill(points);
-
-        // Neighbourhood strategy. The sweep enumerates candidates in index
-        // order while the grid yields cell order, but the ordering produced
-        // is identical either way: the core distance is an order statistic
-        // (order-invariant), each neighbour's reachability update is
-        // independent of the others in the same batch, and the heap pops
-        // strictly by `(reachability, id)` — the neighbour *set* is all that
-        // matters, and both strategies return exactly the points within
-        // `max_eps` (inclusive, identical squared-distance arithmetic).
-        let r_sq = params.max_eps * params.max_eps;
-        let (min_x, min_y, max_x, max_y) = soa.bbox().expect("n > 0");
-        let area = (max_x - min_x) * (max_y - min_y);
-        let sweep = n <= SWEEP_MIN_N || r_sq * SWEEP_AREA_FACTOR >= area;
-        let index = if sweep {
-            None
-        } else {
-            Some(GridIndex::build(points, params.max_eps.max(MIN_CELL)))
-        };
-        processed.clear();
-        processed.resize(n, false);
-        // Tentative reachability per original id, updated as the wavefront
-        // expands; INFINITY until first touched. `reach` carries the real
-        // meters the heap and output contract require; `reach_sq` carries
-        // the squared value it was rooted from, so candidate comparisons can
-        // stay in the squared domain (`new_sq >= reach_sq[q]` implies
-        // `sqrt(new_sq) >= reach[q]` by monotonicity — no `sqrt` needed to
-        // reject).
-        reach.clear();
-        reach.resize(n, f64::INFINITY);
-        reach_sq.clear();
-        reach_sq.resize(n, f64::INFINITY);
-        // The dense sweep's branchless gather writes through a cursor into
-        // `core_bits` without growing it, so the buffer must span `n` slots
-        // up front (grid-path runs size it per neighbourhood instead), and
-        // its update loop walks `rem`, the unprocessed-point list; dropping
-        // each point as it is processed halves the candidate visits over
-        // the whole run (the wavefront only ever improves unprocessed
-        // points).
-        rem.clear();
-        rem_pos.clear();
-        if sweep {
-            core_bits.clear();
-            core_bits.resize(n, 0);
-            all_sq.clear();
-            all_sq.resize(n, 0.0);
-            rem.extend(0..n as u32);
-            rem_pos.extend(0..n as u32);
-        }
-        // Warm-start threshold for the core-distance selection: consecutive
-        // wavefront points sit near each other, so the previous core
-        // distance (with margin) usually brackets the next one, shrinking
-        // the selection from n candidates to a handful. Any guess is safe —
-        // it gates only which (exact) selection strategy runs.
-        let mut core_guess = f64::INFINITY;
-
-        // The wavefront sweep is sequential, but its range queries are
-        // independent per point: with more than one worker, precompute every
-        // neighbourhood up front. The lists match lazy `range_into` output
-        // in content and order, so the ordering is byte-identical.
-        let hoods = index
-            .as_ref()
-            .and_then(|idx| Neighborhoods::precompute(idx, points, params.max_eps, params.threads));
-
-        // Lazy-deletion min-heap over (reachability, point): decrease-key is
-        // emulated by pushing a fresh entry and skipping stale pops (the
-        // stored reachability no longer matches). Keeps the sweep
-        // O(n log n + total neighbour work) at corpus scale. One heap is
-        // reused across components (it always drains empty between seeds).
-        heap.reset(n);
-        for seed in 0..n {
-            if processed[seed] {
-                continue;
-            }
-            debug_assert!(heap.is_empty());
-            heap.decrease(f64::INFINITY, seed as u32);
-            reach[seed] = f64::INFINITY;
-            reach_sq[seed] = f64::INFINITY;
-            while let Some((r, p)) = heap.pop() {
-                // With decrease-key every entry is current: the popped key
-                // IS the point's reachability, and each point pops once.
-                debug_assert!(!processed[p]);
-                debug_assert_eq!(r.to_bits(), reach[p].to_bits());
-                processed[p] = true;
-                order.push(p);
-                reach_in_order.push(r);
-                // Sentinel: a processed point can never be improved again.
-                // `new_sq < -inf` is false for every candidate (squared
-                // distances are non-negative, never NaN), so the update
-                // loops below need no `processed[q]` load-and-branch —
-                // measurably the hottest instruction of the whole sweep.
-                reach_sq[p] = f64::NEG_INFINITY;
-
-                // Per-candidate reachability update, shared by both query
-                // strategies. `new_sq < reach_sq[q]` means improvement is
-                // possible (but not guaranteed: distinct squared values can
-                // root to the same f64). sqrt(max(a, b)) == max(sqrt a,
-                // sqrt b) bitwise, so this is the seed formulation's
-                // `core.max(dist)` — `sqrt` fires only on actual updates.
-                macro_rules! update {
-                    ($q:expr, $dq:expr, $core_sq:expr) => {{
-                        let (q, dq) = ($q, $dq);
-                        let new_sq = if dq > $core_sq { dq } else { $core_sq };
-                        if new_sq < reach_sq[q] {
-                            let new_reach = new_sq.sqrt();
-                            reach_sq[q] = new_sq;
-                            if new_reach < reach[q] {
-                                reach[q] = new_reach;
-                                heap.decrease(new_reach, q as u32);
-                            }
-                        }
-                    }};
-                }
-
-                // Core distance: distance to the min_pts-th neighbour — an
-                // O(k) selection on the squared distances (order statistics
-                // commute with the monotone sqrt), rooted once at the
-                // output boundary.
-                if let Some(idx) = &index {
-                    match &hoods {
-                        Some(h) => h.copy_into(p, nbrs),
-                        None => idx.range_into(points[p], params.max_eps, nbrs),
-                    }
-                    if nbrs.len() >= params.min_pts {
-                        soa.dist_sq_many(points[p], nbrs, d_sq);
-                        core_bits.clear();
-                        core_bits.extend(d_sq.iter().map(|v| v.to_bits()));
-                        let (_, kth, _) = core_bits.select_nth_unstable(params.min_pts - 1);
-                        let core_sq = f64::from_bits(*kth);
-                        core_distance[p] = core_sq.sqrt();
-                        for (&q, &dq) in nbrs.iter().zip(d_sq.iter()) {
-                            update!(q, dq, core_sq);
-                        }
-                    }
-                } else {
-                    // Dense sweep: one sequential (vectorizable) pass over
-                    // the coordinate columns; the candidate list is never
-                    // materialized. Neighbour membership is the same
-                    // inclusive `<= r_sq` test — with the same
-                    // squared-distance bits — as the grid path would apply.
-                    //
-                    // Drop p from the unprocessed list (O(1) swap-remove).
-                    let ip = rem_pos[p] as usize;
-                    rem.swap_remove(ip);
-                    if ip < rem.len() {
-                        rem_pos[rem[ip] as usize] = ip as u32;
-                    }
-                    if n < params.min_pts {
-                        continue; // can never be core
-                    }
-                    // Selecting over *all* squared distances decides
-                    // coreness too: p has >= min_pts neighbours within
-                    // max_eps exactly when the min_pts-th smallest distance
-                    // is <= eps², and in that case the statistic over the
-                    // full list equals the one over the ≤ eps² subset
-                    // (every excluded value is strictly larger than every
-                    // included one). The same subset argument makes the
-                    // warm-start exact: when at least min_pts values fall
-                    // at or below the guess threshold, the statistic over
-                    // that subset is the global one.
-                    let t = 2.0 * core_guess; // margin for density drift
-                    let cap = 8 * params.min_pts + 64;
-                    // One fused pass computes every squared distance AND
-                    // gathers the core-distance candidates at or below the
-                    // guess threshold. The gather is branchless: write the
-                    // bits at the cursor unconditionally, advance the cursor
-                    // only on a hit — `core_bits` stays resized to `n` (done
-                    // once per run) so the write never grows the vector, and
-                    // the loop carries no hard-to-predict branch (venue
-                    // -clustered inputs, with their coincident points, make
-                    // a `filter` branch erratic). Same per-element
-                    // arithmetic as `dist_sq_all`, bit for bit.
-                    let mut m = 0usize;
-                    if t.is_finite() {
-                        let (xs, ys) = soa.cols();
-                        let (px, py) = (points[p].x, points[p].y);
-                        for i in 0..n {
-                            let dx = xs[i] - px;
-                            let dy = ys[i] - py;
-                            let v = dx * dx + dy * dy;
-                            all_sq[i] = v;
-                            core_bits[m] = v.to_bits();
-                            m += usize::from(v <= t);
-                        }
-                    } else {
-                        soa.dist_sq_all(points[p], all_sq);
-                    }
-                    if m < params.min_pts || m > cap {
-                        for (b, v) in core_bits.iter_mut().zip(all_sq.iter()) {
-                            *b = v.to_bits();
-                        }
-                        m = n;
-                    }
-                    let (_, kth, _) = core_bits[..m].select_nth_unstable(params.min_pts - 1);
-                    let core_sq = f64::from_bits(*kth);
-                    core_guess = core_sq;
-                    if core_sq <= r_sq {
-                        core_distance[p] = core_sq.sqrt();
-                        for &q32 in rem.iter() {
-                            let q = q32 as usize;
-                            let dq = all_sq[q];
-                            if dq > r_sq {
-                                continue;
-                            }
-                            update!(q, dq, core_sq);
-                        }
-                    }
-                }
-            }
-        }
-
+        // Point ids ride in 32 bits (`rem`, the tree, heap keys); 2·10⁹
+        // points of f64 coordinates would not fit in memory anyway.
+        assert!(
+            points.len() <= u32::MAX as usize,
+            "point count exceeds u32 id space"
+        );
+        let mut core_distance = vec![f64::INFINITY; points.len()];
+        let (order, reachability) = kernel(scratch, points, params, &mut core_distance);
         Self {
             params,
             order,
-            reachability: reach_in_order,
+            reachability,
             core_distance,
             points: points.to_vec(),
         }
@@ -825,6 +841,57 @@ impl Optics {
     }
 }
 
+/// The kernel this crate shipped before the pruned hierarchy, kept as the
+/// parity reference for it: the dense sweep for tiny inputs (`n <= 64`) or
+/// whenever `max_eps² · 25 >= bbox area`, and otherwise one `GridIndex`
+/// range query per processed point (cell = `max_eps`, clamped to
+/// [`MIN_CELL`]).
+#[cfg(test)]
+impl OpticsScratch {
+    fn reference(
+        &mut self,
+        points: &[LocalPoint],
+        params: OpticsParams,
+        core_distance: &mut [f64],
+    ) -> (Vec<usize>, Vec<f64>) {
+        let n = points.len();
+        let r_sq = params.max_eps * params.max_eps;
+        if n <= 64 {
+            return self.sweep(points, params, core_distance);
+        }
+        self.soa.refill(points);
+        let (min_x, min_y, max_x, max_y) = self.soa.bbox().expect("n > 0");
+        if r_sq * 25.0 >= (max_x - min_x) * (max_y - min_y) {
+            return self.sweep(points, params, core_distance);
+        }
+        let index = GridIndex::build(points, params.max_eps.max(MIN_CELL));
+        let soa = &self.soa;
+        let mut reach_sq = vec![f64::INFINITY; n];
+        let (mut nbrs, mut d_sq, mut core_bits) = (Vec::new(), Vec::new(), Vec::new());
+        self.frontier.order(n, |p, frontier| {
+            // A processed point can never be improved again.
+            reach_sq[p] = f64::NEG_INFINITY;
+            index.range_into(points[p], params.max_eps, &mut nbrs);
+            if nbrs.len() < params.min_pts {
+                return;
+            }
+            soa.dist_sq_many(points[p], &nbrs, &mut d_sq);
+            core_bits.clear();
+            core_bits.extend(d_sq.iter().map(|v| v.to_bits()));
+            let (_, kth, _) = core_bits.select_nth_unstable(params.min_pts - 1);
+            let core_sq = f64::from_bits(*kth);
+            core_distance[p] = core_sq.sqrt();
+            for (&q, &dq) in nbrs.iter().zip(d_sq.iter()) {
+                let new_sq = if dq > core_sq { dq } else { core_sq };
+                if new_sq < reach_sq[q] {
+                    reach_sq[q] = new_sq;
+                    frontier.improve(q, new_sq);
+                }
+            }
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1037,20 +1104,218 @@ mod tests {
         }
     }
 
+    /// Where two orderings' emitted bits first differ — order,
+    /// reachability, core distance, or the labels of either extraction —
+    /// or `None` when they agree everywhere.
+    fn first_difference(a: &Optics, b: &Optics) -> Option<String> {
+        fn first<T: PartialEq + std::fmt::Debug>(what: &str, x: &[T], y: &[T]) -> Option<String> {
+            if x.len() != y.len() {
+                return Some(format!("{what}: length {} vs {}", x.len(), y.len()));
+            }
+            let i = x.iter().zip(y).position(|(p, q)| p != q)?;
+            Some(format!("{what}[{i}]: {:?} vs {:?}", x[i], y[i]))
+        }
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|r| r.to_bits()).collect() };
+        let cores = |o: &Optics| -> Vec<u64> {
+            (0..o.order().len())
+                .map(|i| o.core_distance(i).to_bits())
+                .collect()
+        };
+        let eps = a.params.max_eps / 3.0;
+        first("order", a.order(), b.order())
+            .or_else(|| {
+                first(
+                    "reachability bits",
+                    &bits(a.reachability()),
+                    &bits(b.reachability()),
+                )
+            })
+            .or_else(|| first("core-distance bits", &cores(a), &cores(b)))
+            .or_else(|| {
+                first(
+                    "extract_auto labels",
+                    &a.extract_auto().labels,
+                    &b.extract_auto().labels,
+                )
+            })
+            .or_else(|| {
+                first(
+                    "extract_at labels",
+                    &a.extract_at(eps).labels,
+                    &b.extract_at(eps).labels,
+                )
+            })
+    }
+
+    /// The pruned kernel run directly (no size cut-over), and the
+    /// production dispatch of [`Optics::run`], against the reference kernel
+    /// on the same input.
+    fn pruned_vs_reference(pts: &[LocalPoint], params: OpticsParams) -> Option<String> {
+        let reference = Optics::run_with(
+            pts,
+            params,
+            &mut OpticsScratch::default(),
+            OpticsScratch::reference,
+        );
+        let pruned = Optics::run_with(
+            pts,
+            params,
+            &mut OpticsScratch::default(),
+            OpticsScratch::pruned,
+        );
+        first_difference(&pruned, &reference)
+            .map(|d| format!("pruned kernel: {d}"))
+            .or_else(|| {
+                first_difference(&Optics::run(pts, params), &reference)
+                    .map(|d| format!("production dispatch: {d}"))
+            })
+    }
+
+    fn assert_pruned_matches_reference(pts: &[LocalPoint], params: OpticsParams) {
+        if let Some(diff) = pruned_vs_reference(pts, params) {
+            panic!("n = {}, {params:?}: {diff}", pts.len());
+        }
+    }
+
+    /// Deterministic venue-clustered points shaped like CounterpartCluster's
+    /// inputs: most points sit exactly on one of a few venues (coincident),
+    /// the rest are jittered around them or scattered over the extent.
+    fn venues(n: usize, n_venues: usize, spread: f64, seed: u64) -> Vec<LocalPoint> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let sites: Vec<(f64, f64)> = (0..n_venues)
+            .map(|_| ((next() * spread).round(), (next() * spread).round()))
+            .collect();
+        (0..n)
+            .map(|_| {
+                let (vx, vy) = sites[(next() * n_venues as f64) as usize % n_venues];
+                match (next() * 10.0) as u32 {
+                    0..=5 => LocalPoint::new(vx, vy),
+                    6..=8 => LocalPoint::new(vx + next() * 300.0, vy - next() * 300.0),
+                    _ => LocalPoint::new(next() * spread, next() * spread),
+                }
+            })
+            .collect()
+    }
+
     #[test]
-    fn threaded_precompute_matches_serial_ordering() {
-        let mut pts = blob(0.0, 0.0, 40, 15.0);
-        pts.extend(blob(600.0, 0.0, 40, 15.0));
-        pts.extend(blob(200.0, 500.0, 25, 10.0));
-        pts.insert(7, LocalPoint::new(f64::NAN, 2.0));
-        let serial = Optics::run(&pts, OpticsParams::new(1_000.0, 5));
-        for threads in [2, 4] {
-            let parallel = Optics::run(&pts, OpticsParams::new(1_000.0, 5).with_threads(threads));
-            assert_eq!(serial.order(), parallel.order(), "threads = {threads}");
-            let bits =
-                |o: &Optics| -> Vec<u64> { o.reachability().iter().map(|r| r.to_bits()).collect() };
-            assert_eq!(bits(&serial), bits(&parallel));
-            assert_eq!(serial.extract_auto().labels, parallel.extract_auto().labels);
+    fn pruned_kernel_matches_reference_on_venue_clusters() {
+        // Compact (reference: dense sweep) and sparse (reference: grid)
+        // extents, the min_pts of the mine corpus and a small one.
+        for (n, n_venues, spread, min_pts) in [
+            (700, 4, 2_000.0, 50),
+            (1_500, 12, 15_000.0, 50),
+            (1_200, 30, 40_000.0, 5),
+            (900, 2, 500.0, 1),
+        ] {
+            let pts = venues(n, n_venues, spread, n as u64);
+            assert_pruned_matches_reference(&pts, OpticsParams::new(1_000.0, min_pts));
+        }
+    }
+
+    #[test]
+    fn pruned_kernel_matches_reference_at_exact_max_eps() {
+        // A lattice with spacing exactly max_eps, plus 6-8-10 triangles:
+        // d² == eps² bit for bit, so the inclusive neighbour test and the
+        // node bound's `lb > eps²` cut both sit on the boundary.
+        let mut pts = Vec::new();
+        for i in 0..30 {
+            for j in 0..12 {
+                pts.push(LocalPoint::new(i as f64 * 10.0, j as f64 * 10.0));
+                if (i + j) % 5 == 0 {
+                    pts.push(LocalPoint::new(
+                        i as f64 * 10.0 + 6.0,
+                        j as f64 * 10.0 + 8.0,
+                    ));
+                }
+            }
+        }
+        for min_pts in [1, 2, 3, 5, 9] {
+            assert_pruned_matches_reference(&pts, OpticsParams::new(10.0, min_pts));
+        }
+    }
+
+    #[test]
+    fn pruned_kernel_matches_reference_at_edge_parameters() {
+        let pts = venues(400, 5, 3_000.0, 7);
+        // min_pts above n: nothing is core, every point heads a component.
+        assert_pruned_matches_reference(&pts, OpticsParams::new(1_000.0, 401));
+        // max_eps squares to 0: only coincident points are neighbours.
+        assert_pruned_matches_reference(&pts, OpticsParams::new(1e-300, 3));
+        // Non-finite points ride along as trailing isolated components.
+        let mut bad = pts.clone();
+        bad.insert(5, LocalPoint::new(f64::NAN, 1.0));
+        bad.insert(90, LocalPoint::new(f64::INFINITY, f64::NEG_INFINITY));
+        bad.push(LocalPoint::new(2.0, f64::NAN));
+        assert_pruned_matches_reference(&bad, OpticsParams::new(1_000.0, 4));
+        // Empty and single-point inputs.
+        assert_pruned_matches_reference(&[], OpticsParams::new(1_000.0, 4));
+        assert_pruned_matches_reference(&pts[..1], OpticsParams::new(1_000.0, 1));
+    }
+
+    #[test]
+    fn scratch_reuse_across_kernels_is_invisible() {
+        // One scratch through runs of both kernels and different sizes must
+        // give what fresh scratches give.
+        let mut scratch = OpticsScratch::default();
+        for (n, seed) in [(1_400, 1u64), (90, 2), (800, 3), (30, 4), (1_100, 5)] {
+            let pts = venues(n, 6, 8_000.0, seed);
+            let params = OpticsParams::new(1_000.0, 20);
+            let reused = Optics::run_with_scratch(&pts, params, &mut scratch);
+            let fresh = Optics::run(&pts, params);
+            assert_eq!(first_difference(&reused, &fresh), None, "n = {n}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+        /// The pruned kernel, called directly, emits the reference kernel's
+        /// bits: venue-clustered inputs with many coincident points, lattice
+        /// points exactly max_eps apart, min_pts from 1 to above n, a
+        /// max_eps that squares to 0, and NaN/±inf points.
+        #[test]
+        fn pruned_kernel_matches_reference(
+            sites in proptest::collection::vec((-12i32..12, -12i32..12), 1..6),
+            picks in proptest::collection::vec((0usize..6, 0u32..10, -2i32..3, -2i32..3), 0..260),
+            scale_pick in 0usize..4,
+            eps_pick in 0usize..4,
+            min_pts_pick in 0usize..7,
+            bad in proptest::collection::vec((0usize..300, 0usize..4), 0..3),
+        ) {
+            // Sites and jitter are integer multiples of `scale`, so with
+            // max_eps == scale many pairs lie exactly max_eps apart.
+            let scale = [10.0, 100.0, 250.0, 1_000.0][scale_pick];
+            let max_eps = [scale, 3.0 * scale, 1_000.0, 1e-300][eps_pick];
+            let min_pts = [1, 2, 3, 5, 8, 20, 300][min_pts_pick];
+            let mut pts: Vec<LocalPoint> = picks
+                .iter()
+                .map(|&(site, kind, jx, jy)| {
+                    let (sx, sy) = sites[site % sites.len()];
+                    let (x, y) = (sx as f64 * scale, sy as f64 * scale);
+                    match kind {
+                        0..=4 => LocalPoint::new(x, y),
+                        5..=8 => LocalPoint::new(x + jx as f64 * scale, y + jy as f64 * scale),
+                        _ => LocalPoint::new(x + jx as f64 * scale * 0.37, y - jy as f64 * scale * 0.61),
+                    }
+                })
+                .collect();
+            for &(at, which) in &bad {
+                let p = [
+                    LocalPoint::new(f64::NAN, 0.0),
+                    LocalPoint::new(0.0, f64::INFINITY),
+                    LocalPoint::new(f64::NEG_INFINITY, 5.0),
+                    LocalPoint::new(f64::NAN, f64::NAN),
+                ][which];
+                pts.insert(at % (pts.len() + 1), p);
+            }
+            let params = OpticsParams::new(max_eps, min_pts);
+            let diff = pruned_vs_reference(&pts, params);
+            proptest::prop_assert!(diff.is_none(), "n = {}, {params:?}: {diff:?}", pts.len());
         }
     }
 
@@ -1058,10 +1323,10 @@ mod tests {
     fn near_zero_max_eps_is_bounded_and_clusters_coincident_points() {
         // `max_eps = 1e-300` is legal ("positive and finite") but squares to
         // a full underflow (eps² == 0.0): only exactly coincident points are
-        // neighbours. The run must stay bounded — the grid cell clamp keeps
-        // the index from exploding over the clustered extent — and the
-        // coincident clump is still recovered (distance 0 <= eps², core
-        // distance 0), while every spread-out point stays noise.
+        // neighbours. The run must stay bounded — neither kernel sizes any
+        // structure by max_eps — and the coincident clump is still
+        // recovered (distance 0 <= eps², core distance 0), while every
+        // spread-out point stays noise.
         let venue = LocalPoint::new(120.0, 45.0);
         let mut pts = vec![venue; 5];
         pts.extend(blob(0.0, 0.0, 80, 400.0)); // spread: no duplicates

@@ -14,7 +14,7 @@
 use crate::error::{Degradation, MinerError};
 use crate::params::MinerParams;
 use crate::types::{Category, SemanticTrajectory, StayPoint};
-use pm_cluster::{Optics, OpticsParams, OpticsScratch};
+use pm_cluster::{Clustering, Optics, OpticsParams, OpticsScratch};
 use pm_geo::{centroid, den, LocalPoint};
 use pm_seqmine::{prefixspan, PrefixSpanParams};
 
@@ -218,34 +218,48 @@ fn counterpart_cluster(
     let optics_params = OpticsParams::new(OPTICS_MAX_EPS, params.sigma);
     let mut scratch = OpticsScratch::default();
     let mut pts: Vec<LocalPoint> = Vec::with_capacity(members.len());
-    let labels: Vec<Vec<Option<usize>>> = (0..m)
+    let clusterings: Vec<Clustering> = (0..m)
         .map(|k| {
             pts.clear();
             pts.extend(members.iter().map(|mem| stay(mem, k).pos));
-            Optics::run_obs_with_scratch(&pts, optics_params, obs, &mut scratch)
-                .extract_auto()
-                .labels
+            Optics::run_obs_with_scratch(&pts, optics_params, obs, &mut scratch).extract_auto()
         })
         .collect();
+    // Members of each position-0 cluster, ascending. Dead members are
+    // dropped from a bucket whenever it is read, so no member is skipped
+    // twice.
+    let mut buckets = clusterings[0].clusters();
 
     // Lines 7–20, with `pa` as a removal mask. The pseudo code iterates
     // "for each ST_i in pa" while deleting from pa; we take the first
     // remaining member as the next reference, which visits exactly the
-    // trajectories still in pa. `cand` and the density-gate point buffer
-    // are reused across references.
+    // trajectories still in pa. Members only ever leave pa, so the first
+    // live one is tracked by a cursor that never moves back. `cand` and the
+    // density-gate point buffer are reused across references.
     let mut in_pa = vec![true; members.len()];
     let mut cand: Vec<usize> = Vec::with_capacity(members.len());
-    while let Some(i) = in_pa.iter().position(|&alive| alive) {
+    let mut next = 0usize;
+    while let Some(i) = (next..members.len()).find(|&j| in_pa[j]) {
+        // The reference leaves pa below.
+        next = i + 1;
+        // Line 10 at position 0: the live members sharing ST_i's cluster,
+        // in ascending order; a noise reference only matches itself.
         cand.clear();
-        cand.extend((0..members.len()).filter(|&j| in_pa[j]));
+        match clusterings[0].labels[i] {
+            Some(c) => {
+                buckets[c].retain(|&j| in_pa[j]);
+                cand.extend_from_slice(&buckets[c]);
+            }
+            None => cand.push(i),
+        }
         let mut valid = true;
-        #[allow(clippy::needless_range_loop)] // k indexes stays and labels in lockstep
-        for k in 0..m {
-            // Line 10: keep members sharing ST_i's cluster at position k.
-            // Noise points (no cluster) only match themselves.
-            cand.retain(|&j| j == i || (labels[k][j].is_some() && labels[k][j] == labels[k][i]));
-            // Lines 11–12: temporal constraint between consecutive stays.
+        for (k, clustering) in clusterings.iter().enumerate() {
             if k > 0 {
+                // Line 10: keep members sharing ST_i's cluster at position
+                // k. Noise points (no cluster) only match themselves.
+                let labels = &clustering.labels;
+                cand.retain(|&j| j == i || (labels[j].is_some() && labels[j] == labels[i]));
+                // Lines 11–12: temporal constraint between consecutive stays.
                 cand.retain(|&j| {
                     let gap = stay(&members[j], k).time - stay(&members[j], k - 1).time;
                     gap.abs() < params.delta_t

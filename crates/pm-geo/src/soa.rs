@@ -79,9 +79,8 @@ impl SoaPoints {
     ///
     /// Unlike [`SoaPoints::dist_sq_many`] there is no index gather: the loop
     /// walks both columns sequentially, which the compiler vectorizes. This
-    /// is the kernel behind the dense-sweep path of OPTICS, where a range
-    /// query would return (nearly) all points anyway and a spatial index
-    /// only adds indirection.
+    /// is the kernel behind OPTICS' dense sweep over small inputs, where
+    /// building a spatial index costs more than scanning every point.
     pub fn dist_sq_all(&self, center: LocalPoint, out: &mut Vec<f64>) {
         out.clear();
         out.reserve(self.xs.len());
